@@ -8,6 +8,7 @@ import (
 
 	"videoplat/internal/fingerprint"
 	"videoplat/internal/packet"
+	"videoplat/internal/tracegen"
 )
 
 // tcpFlowFrames builds handcrafted frames for one TCP flow. Client frames
@@ -180,5 +181,85 @@ func TestShardedOversizedCounter(t *testing.T) {
 	s.Close()
 	if got := s.IngestStats().OversizedHandshakes; got != 1 {
 		t.Fatalf("sharded oversized_handshakes = %d, want 1", got)
+	}
+}
+
+// clientFrames returns a rendered flow's client-direction frames.
+func clientFrames(ft *tracegen.FlowTrace) [][]byte {
+	var out [][]byte
+	for _, fr := range ft.Frames {
+		if fr.ClientToServer {
+			out = append(out, fr.Data)
+		}
+	}
+	return out
+}
+
+// TestAssemblerZeroAlloc pins the assembly half of the serving path. With
+// a warm asmScratch — the opener and a free list that has held a buffer —
+// assembling a flow's handshake (every client frame through consumeParsed,
+// finish, then the release to the free list) allocates nothing for TCP,
+// and for QUIC exactly the waived AES key schedules and GCM state of each
+// Initial. The split cases reuse the buffer's stream: a hello across TCP
+// segments, and one across two Initials with a migration between them.
+func TestAssemblerZeroAlloc(t *testing.T) {
+	const perInitial = 3 // aes.NewCipher ×2, cipher.NewGCM
+	g := tracegen.New(9)
+	render := func(label string, tr fingerprint.Transport) [][]byte {
+		ft, err := g.Flow(label, fingerprint.YouTube, tr, tracegen.FlowSpec{PayloadFrames: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return clientFrames(ft)
+	}
+	f, err := fingerprint.Generate(rand.New(rand.NewPCG(1, 1)), "macOS_safari", fingerprint.Amazon, fingerprint.TCP, fingerprint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := f.Hello.MarshalRecord()
+	ff := newTCPFlowFrames()
+	tcpSplit := [][]byte{
+		ff.client(nil, packet.FlagSYN),
+		ff.client(record[:len(record)/3], packet.FlagACK|packet.FlagPSH),
+		ff.client(record[len(record)/3:], packet.FlagACK|packet.FlagPSH),
+	}
+	cases := []struct {
+		name     string
+		frames   [][]byte
+		initials int
+	}{
+		{"tcp", render("windows_chrome", fingerprint.TCP), 0},
+		{"tcp split hello", tcpSplit, 0},
+		{"quic", render("android_chrome", fingerprint.QUIC), 1},
+		{"quic split hello", clientFrames(renderScenarioFlow(t, 43, fingerprint.Options{Migration: true}, true)), 2},
+	}
+	for _, c := range cases {
+		var sc asmScratch
+		var parser packet.Parser
+		var parsed packet.Parsed
+		assemble := func() bool {
+			var a hsAssembler
+			a.init()
+			done := false
+			for _, frame := range c.frames {
+				if parser.Parse(frame, &parsed) != nil {
+					continue
+				}
+				if a.consumeParsed(&parsed, frame, &sc) {
+					done = a.finish().Hello != nil
+					break
+				}
+			}
+			sc.put(a.buf)
+			return done
+		}
+		ok := assemble()
+		n := testing.AllocsPerRun(50, func() { ok = assemble() && ok })
+		if !ok {
+			t.Fatalf("%s: no ClientHello assembled from a reused buffer", c.name)
+		}
+		if want := float64(perInitial * c.initials); n != want {
+			t.Errorf("%s: %.1f allocs per flow, want %.0f", c.name, n, want)
+		}
 	}
 }

@@ -198,3 +198,69 @@ func TestShardedDeliverNeverBlocks(t *testing.T) {
 		t.Errorf("buffered record = %q, want first delivery", rec.SNI)
 	}
 }
+
+// TestShardedIdleEvictionOfDeferredFlow pins batch mode to immediate mode
+// when one ingest batch spans more than IdleTimeout of trace time. Flow A's
+// hello completes early in the batch, so its classification is deferred to
+// the batch's flush; a later frame of flow B, minutes on, runs the idle
+// sweep, which evicts A first. A must leave with the record immediate mode
+// gives it — classified, not pending — and reach Results as well.
+func TestShardedIdleEvictionOfDeferredFlow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a bank")
+	}
+	bank := goldenBank(t)
+	g := tracegen.New(53)
+	a := renderFlow(t, g, "windows_chrome", fingerprint.YouTube)
+	b := renderFlow(t, g, "macOS_safari", fingerprint.Netflix)
+	t0 := time.Date(2023, 7, 7, 12, 0, 0, 0, time.UTC)
+	var batch []IngestPacket
+	for _, fr := range a.Frames {
+		batch = append(batch, IngestPacket{TS: t0.Add(fr.Offset), Data: fr.Data})
+	}
+	for _, fr := range b.Frames {
+		batch = append(batch, IngestPacket{TS: t0.Add(5*time.Minute + fr.Offset), Data: fr.Data})
+	}
+
+	var mu sync.Mutex
+	evicted := map[string]FlowRecord{}
+	cfg := Config{
+		IdleTimeout: time.Minute,
+		OnEvict: func(rec *FlowRecord, _ flowtable.Reason) {
+			mu.Lock()
+			evicted[rec.SNI] = *rec
+			mu.Unlock()
+		},
+	}
+	p := NewWithConfig(bank, cfg)
+	for _, pkt := range batch {
+		p.HandlePacket(pkt.TS, pkt.Data)
+	}
+	want, ok := evicted[a.SNI]
+	if !ok || want.Verdict != VerdictClassified {
+		t.Fatalf("immediate mode: flow A evicted %v with verdict %v, want classified", ok, want.Verdict)
+	}
+	clear(evicted)
+
+	s := NewShardedWithConfig(bank, 1, cfg)
+	delivered := make(chan int)
+	go func() {
+		n := 0
+		for rec := range s.Results() {
+			if rec.SNI == a.SNI {
+				n++
+			}
+		}
+		delivered <- n
+	}()
+	s.HandlePacketBatch(batch)
+	s.Close()
+	if n := <-delivered; n != 1 {
+		t.Errorf("flow A reached Results %d times, want 1", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := evicted[a.SNI]; got != want {
+		t.Errorf("batch mode evicted flow A as\n %+v\nimmediate mode as\n %+v", got, want)
+	}
+}

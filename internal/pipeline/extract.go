@@ -19,26 +19,40 @@
 // Buffer-reuse rules: a batch's arena is recycled as soon as the shard
 // worker has run every frame through the pipeline, which is safe because
 // the pipeline copies anything it retains past the call (client handshake
-// payload bytes are copied into the flow's assembler; flow keys and
-// telemetry are values). Code that adds retention to the flow path must
-// keep that copy-on-retain invariant or the arena recycle in Sharded
-// becomes a use-after-free. Frames with no TCP/UDP 5-tuple are dropped at
-// ingest (counted in Sharded.Ignored); queue depths and the best-effort
-// results buffer are Config knobs with shard-count-scaled defaults.
+// payload bytes are copied, and QUIC Initials decrypted, into the flow's
+// handshake buffer; flow keys and telemetry are values). Code that adds
+// retention to the flow path must keep that copy-on-retain invariant or
+// the arena recycle in Sharded becomes a use-after-free. Handshake buffers
+// are recycled in turn: each Pipeline keeps a free list of at most one
+// batch of them, a flow takes one on its first client handshake bytes, and
+// Pipeline.releaseAsm returns it once the flow's classification — and the
+// Config.OnClassify hook, whose HandshakeInfo aliases it — is over. Code
+// that keeps a Hello, transport parameters or HandshakeInfo past that
+// point must copy it. Frames with no TCP/UDP 5-tuple are dropped at ingest
+// (counted in Sharded.Ignored); queue depths and the best-effort results
+// buffer are Config knobs with shard-count-scaled defaults.
 //
 // # Zero-allocation classification fast path
 //
 // Classification — the per-flow cost once ingest is parse-once — is built
 // around two pieces:
 //
-//   - Incremental handshake assembly. Each flow owns an hsAssembler, a
-//     small state machine that consumes client-direction bytes as they
-//     arrive and remembers parse progress (SYN fields, buffered TCP payload
-//     bytes), so a flow is reassembled once in O(client handshake bytes)
-//     instead of re-running full reassembly over every buffered frame on
-//     every packet. Server-direction packets never touch assembly, and
-//     buffered bytes are bounded by Config.MaxHelloBytes (oversized flows
-//     are abandoned and counted in OversizedHandshakes).
+//   - Incremental handshake assembly into reused buffers. Each flow owns an
+//     hsAssembler, a small state machine that consumes client-direction
+//     bytes as they arrive and remembers parse progress (SYN fields,
+//     buffered TCP payload bytes), so a flow is reassembled once in
+//     O(client handshake bytes) instead of re-running full reassembly over
+//     every buffered frame on every packet. The bytes, the decrypted QUIC
+//     Initial, the ClientHello and the transport parameters all decode
+//     into the flow's pooled handshake buffer through the parsers' Into
+//     forms (tlsproto.ParseRecordInto and ParseInto,
+//     quicproto.InitialOpener.ParseInto with the pipeline's opener,
+//     quicproto.ParseTransportParametersInto), so with a warm free list
+//     assembly allocates nothing but the AES and GCM state of each QUIC
+//     Initial's keys (pinned by TestAssemblerZeroAlloc). Server-direction
+//     packets never touch assembly, and buffered bytes are bounded by
+//     Config.MaxHelloBytes (oversized flows are abandoned and counted in
+//     OversizedHandshakes).
 //
 //   - Compiled encoding and pooled prediction. Bank.ClassifyHandshake
 //     encodes the assembled handshake once through the models' shared
@@ -50,10 +64,11 @@
 //     the reference Extract+Transform+Classify path (pinned by the
 //     golden-equivalence tests).
 //
-// Scratch-reuse rules: each Pipeline owns one ClassifyScratch (and each
-// Sharded shard owns its Pipeline), so scratch state is single-goroutine by
+// Scratch-reuse rules: each Pipeline owns one ClassifyScratch and one
+// assembly scratch (opener and handshake free list), and each Sharded
+// shard owns its Pipeline, so scratch state is single-goroutine by
 // construction. The HandshakeInfo passed to Config.OnClassify aliases the
-// flow's assembler buffers and is only valid for the duration of the hook
+// flow's handshake buffer and is only valid for the duration of the hook
 // call; the shadow evaluator classifies synchronously within it.
 // Serialized banks carry only encoders and forests — compiled tables and
 // the shared-encoder index rebuild lazily after UnmarshalBinary — so the
@@ -113,22 +128,18 @@ func MatchProvider(sni string) (prov fingerprint.Provider, content, ok bool) {
 // the state ExtractFrames' batch fold would have reached — ExtractFrames is
 // implemented on top of it.
 //
-// The assembler owns every byte it retains: TCP payloads are copied into
-// tcpStream, and the Hello produced by the record/Initial parsers is backed
-// by freshly assembled buffers — never by the input frame — so callers may
-// recycle frame buffers (e.g. Sharded's batch arenas) as soon as consume
-// returns.
+// The assembler never aliases its input frames: TCP payloads and split
+// CRYPTO streams are copied into the flow's hsBuf, QUIC Initials decrypt
+// into it, and the Hello and transport parameters decode into it. So
+// callers may recycle frame buffers (e.g. Sharded's batch arenas) as soon
+// as consume returns. The hsBuf is taken from the pipeline's free list on
+// the flow's first client handshake bytes and stays the flow's until
+// Pipeline.releaseAsm, which runs once nothing aliases it any more.
 type hsAssembler struct {
-	info      features.HandshakeInfo
-	sawSYN    bool
-	tcpStream []byte // buffered client-direction TCP payload bytes
-	frames    int    // client frames consumed so far
-
-	// cryptoStream buffers a QUIC CRYPTO stream split across Initials
-	// (e.g. a hello fragmented around a mid-handshake migration). Only a
-	// contiguous prefix is kept; out-of-order fragments end the flow as
-	// no-handshake rather than buying an unbounded reorder buffer.
-	cryptoStream []byte
+	info   features.HandshakeInfo
+	buf    *hsBuf // nil until the first client handshake bytes
+	frames int    // client frames consumed so far
+	sawSYN bool
 	// sawInit records that the transport attributes (TTL, initial packet
 	// size) were captured from the flow's first QUIC packet, so later
 	// packets never overwrite them.
@@ -142,11 +153,88 @@ type hsAssembler struct {
 	giveUp bool
 }
 
+// hsBuf is the storage one flow's handshake decodes into. Its slices keep
+// their capacity across the flows that reuse it, so once a pipeline's free
+// list is warm, assembly allocates nothing beyond the per-key AES and GCM
+// state of each QUIC Initial.
+type hsBuf struct {
+	hello  tlsproto.ClientHello
+	params quicproto.TransportParameters
+	// stream buffers client TCP payload bytes, or a QUIC CRYPTO stream
+	// split across Initials (e.g. a hello fragmented around a mid-handshake
+	// migration). Only a contiguous CRYPTO prefix is kept; out-of-order
+	// fragments end the flow as no-handshake rather than buying an
+	// unbounded reorder buffer.
+	stream []byte
+	plain  []byte // the last decrypted Initial payload
+	frag   []byte // the defragmented handshake of a hello spanning TLS records
+}
+
+// asmScratch is a pipeline's shared assembly state: the QUIC Initial
+// opener and a bounded free list of flow buffers. Single-goroutine, like
+// the Pipeline that owns it.
+type asmScratch struct {
+	opener quicproto.InitialOpener
+	free   []*hsBuf
+}
+
+const (
+	// maxFreeHsBufs caps the free list at one ingest batch of flows.
+	// Buffers released past it are left to the collector, so a burst of
+	// concurrent handshakes cannot pin memory after it passes.
+	maxFreeHsBufs = 64
+	// maxPooledHsBytes drops a buffer that grew past any real hello (an
+	// adversarial stream near MaxHelloBytes) instead of pooling it.
+	maxPooledHsBytes = 16 << 10
+)
+
+// get returns a buffer from the free list, or a new one when it is empty.
+//
+//vp:hotpath
+func (s *asmScratch) get() *hsBuf {
+	n := len(s.free)
+	if n == 0 {
+		return new(hsBuf) //vp:allocok free list empty: at most one buffer per concurrently assembling flow, then recycled
+	}
+	b := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	return b
+}
+
+// put returns a flow's buffer to the free list. Nothing may alias it any
+// more: the next get hands it to another flow.
+//
+//vp:hotpath
+func (s *asmScratch) put(b *hsBuf) {
+	if b == nil || len(s.free) >= maxFreeHsBufs ||
+		cap(b.stream)+cap(b.plain)+cap(b.frag) > maxPooledHsBytes {
+		return
+	}
+	b.stream = b.stream[:0]
+	s.free = append(s.free, b)
+}
+
 func (a *hsAssembler) init() { a.info.TCPWScale = -1 }
 
 // buffered reports the client handshake bytes currently held for this flow
 // (the quantity Config.MaxHelloBytes bounds).
-func (a *hsAssembler) buffered() int { return len(a.tcpStream) + len(a.cryptoStream) }
+func (a *hsAssembler) buffered() int {
+	if a.buf == nil {
+		return 0
+	}
+	return len(a.buf.stream)
+}
+
+// take returns the flow's buffer, taking one from sc on first use.
+//
+//vp:hotpath
+func (a *hsAssembler) take(sc *asmScratch) *hsBuf {
+	if a.buf == nil {
+		a.buf = sc.get()
+	}
+	return a.buf
+}
 
 // consume feeds one client-direction frame to the state machine, parsing it
 // with the caller's scratch parser state. It returns true once the flow's
@@ -155,17 +243,21 @@ func (a *hsAssembler) buffered() int { return len(a.tcpStream) + len(a.cryptoStr
 // should be offered. Callers that already decoded the frame (the plain
 // HandlePacket path) use consumeParsed instead, keeping the parse-once
 // contract.
-func (a *hsAssembler) consume(parser *packet.Parser, parsed *packet.Parsed, frame []byte) bool {
+func (a *hsAssembler) consume(parser *packet.Parser, parsed *packet.Parsed, frame []byte, sc *asmScratch) bool {
 	if err := parser.Parse(frame, parsed); err != nil {
 		a.frames++
 		return false // non-IP noise is skipped, as a tap would
 	}
-	return a.consumeParsed(parsed, frame)
+	return a.consumeParsed(parsed, frame, sc)
 }
 
 // consumeParsed is consume after its decode. parsed must be the result of
-// Parser.Parse(frame, parsed).
-func (a *hsAssembler) consumeParsed(parsed *packet.Parsed, frame []byte) bool {
+// Parser.Parse(frame, parsed). Allocation-free with a warm sc, apart from
+// the waived per-key AES and GCM state of each QUIC Initial; pinned by
+// TestAssemblerZeroAlloc.
+//
+//vp:hotpath
+func (a *hsAssembler) consumeParsed(parsed *packet.Parsed, frame []byte, sc *asmScratch) bool {
 	a.frames++
 	info := &a.info
 	switch {
@@ -183,15 +275,16 @@ func (a *hsAssembler) consumeParsed(parsed *packet.Parsed, frame []byte) bool {
 			info.TCPSACK = t.SACKPermitted()
 		}
 		if len(parsed.Payload) > 0 && info.Hello == nil {
-			a.tcpStream = append(a.tcpStream, parsed.Payload...)
-			ch, err := tlsproto.ParseRecord(a.tcpStream)
+			b := a.take(sc)
+			b.stream = append(b.stream, parsed.Payload...)
+			err := tlsproto.ParseRecordInto(&b.hello, b.stream, &b.frag)
 			if err == nil {
-				info.Hello = ch
+				info.Hello = &b.hello
 				return true
 			}
 			if !errors.Is(err, tlsproto.ErrMalformed) {
 				// Not a handshake record at all: wrong flow start.
-				a.tcpStream = a.tcpStream[:0]
+				b.stream = b.stream[:0]
 			}
 		}
 	case parsed.Has(packet.LayerUDP):
@@ -217,8 +310,9 @@ func (a *hsAssembler) consumeParsed(parsed *packet.Parsed, frame []byte) bool {
 			}
 			return false
 		}
-		init, err := quicproto.ParseInitial(parsed.Payload)
-		if err != nil {
+		b := a.take(sc)
+		var init quicproto.Initial
+		if sc.opener.ParseInto(&init, parsed.Payload, &b.plain) != nil {
 			return false
 		}
 		if !a.sawInit {
@@ -228,10 +322,10 @@ func (a *hsAssembler) consumeParsed(parsed *packet.Parsed, frame []byte) bool {
 			info.InitPacketSize = init.WireSize
 		}
 		// Fast path: the whole hello in one Initial — no buffering, the
-		// parsed Hello is backed by the Initial's own assembly buffer.
-		if init.CryptoOffset == 0 && len(a.cryptoStream) == 0 {
-			if ch, err := tlsproto.Parse(init.CryptoData); err == nil {
-				info.Hello = ch
+		// parsed Hello aliases the decrypted payload in b.plain.
+		if init.CryptoOffset == 0 && len(b.stream) == 0 {
+			if tlsproto.ParseInto(&b.hello, init.CryptoData) == nil {
+				info.Hello = &b.hello
 				return true
 			}
 		}
@@ -239,10 +333,10 @@ func (a *hsAssembler) consumeParsed(parsed *packet.Parsed, frame []byte) bool {
 		// (a client that migrated mid-handshake fragments its flight).
 		// Fragments must arrive contiguously; a gap means the flow ends as
 		// no-handshake via the frame-count heuristic.
-		if int(init.CryptoOffset) == len(a.cryptoStream) && len(init.CryptoData) > 0 {
-			a.cryptoStream = append(a.cryptoStream, init.CryptoData...)
-			if ch, err := tlsproto.Parse(a.cryptoStream); err == nil {
-				info.Hello = ch
+		if int(init.CryptoOffset) == len(b.stream) && len(init.CryptoData) > 0 {
+			b.stream = append(b.stream, init.CryptoData...)
+			if tlsproto.ParseInto(&b.hello, b.stream) == nil {
+				info.Hello = &b.hello
 				return true
 			}
 		}
@@ -252,13 +346,18 @@ func (a *hsAssembler) consumeParsed(parsed *packet.Parsed, frame []byte) bool {
 }
 
 // finish completes an assembled handshake: for QUIC it pre-parses the
-// transport parameters once, so the serving path's compiled encoders never
-// re-parse extension 57. Call only after consume returned true.
+// transport parameters once, into the flow's buffer, so the serving path's
+// compiled encoders never re-parse extension 57. Call only after consume
+// returned true.
+//
+//vp:hotpath
 func (a *hsAssembler) finish() *features.HandshakeInfo {
 	info := &a.info
 	if info.QUIC && info.Params == nil && info.Hello != nil {
 		if e, ok := info.Hello.Extension(tlsproto.ExtQUICTransportParams); ok {
-			info.Params, _ = quicproto.ParseTransportParameters(e.Data)
+			if quicproto.ParseTransportParametersInto(&a.buf.params, e.Data) == nil {
+				info.Params = &a.buf.params
+			}
 		}
 	}
 	return info
@@ -271,10 +370,11 @@ func (a *hsAssembler) finish() *features.HandshakeInfo {
 func ExtractFrames(frames [][]byte) (*features.HandshakeInfo, error) {
 	var parser packet.Parser
 	var parsed packet.Parsed
+	var sc asmScratch // fresh: the returned handshake owns its buffer
 	var a hsAssembler
 	a.init()
 	for _, frame := range frames {
-		if a.consume(&parser, &parsed, frame) {
+		if a.consume(&parser, &parsed, frame, &sc) {
 			return a.finish(), nil
 		}
 	}

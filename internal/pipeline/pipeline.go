@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"net/netip"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -153,9 +154,8 @@ type flowState struct {
 	done      bool           // classification finished (or rejected)
 	// pendingClassify marks a flow whose completed handshake sits in the
 	// batch-mode deferred-classification queue awaiting flushBatch. Cleared
-	// by the flush, or by the eviction hook for flows evicted mid-batch (the
-	// flush then skips them; their record was already delivered to OnEvict
-	// with an honest VerdictPending).
+	// by the flush, or by the eviction hook, which classifies a flow evicted
+	// mid-batch on the spot (classifyEvicted).
 	pendingClassify bool
 	span            *obs.Span // lifecycle trace, non-nil only for sampled flows
 
@@ -307,10 +307,13 @@ type Pipeline struct {
 	parser packet.Parser
 	parsed packet.Parsed
 	// scratch holds the classification path's reusable buffers (encoded
-	// vector, forest probabilities, extension-walk scratch). One per
-	// pipeline is safe: HandlePacket is single-goroutine by contract, and
-	// each shard of a Sharded owns its own Pipeline.
+	// vector, forest probabilities, extension-walk scratch), and hs the
+	// assembly path's (QUIC Initial opener, free list of flow handshake
+	// buffers). One each per pipeline is safe: HandlePacket is
+	// single-goroutine by contract, and each shard of a Sharded owns its
+	// own Pipeline.
 	scratch ClassifyScratch
+	hs      asmScratch
 
 	// oversized counts flows abandoned because their buffered handshake
 	// bytes exceeded Config.MaxHelloBytes. Atomic so Sharded can aggregate
@@ -348,6 +351,9 @@ type Pipeline struct {
 	// handleKeyed/flushBatch; group capacity is reused across batches so the
 	// steady state never allocates.
 	pending []pendingGroup
+	// evictedRecs holds the records of deferred flows classified at
+	// eviction (classifyEvicted), delivered with the batch's flush.
+	evictedRecs []*FlowRecord
 
 	// Stats counters.
 	Packets, VideoPackets, ClassifiedFlows, UnknownFlows int
@@ -363,15 +369,12 @@ func NewWithConfig(bank *Bank, cfg Config) *Pipeline {
 	p.flows = flowtable.New[*flowState](
 		flowtable.Config{MaxFlows: cfg.MaxFlows, IdleTimeout: cfg.IdleTimeout},
 		func(_ packet.FlowKey, st *flowState, reason flowtable.Reason) {
+			if st.pendingClassify {
+				p.classifyEvicted(st)
+			}
 			p.finishSpan(st, "evicted")
 			p.unregisterCIDs(st)
 			switch {
-			case st.pendingClassify:
-				// Evicted between batch-mode deferral and flushBatch: the
-				// handshake completed but was never classified. Clearing the
-				// mark tells the flush to skip this flow; the record leaves
-				// with an honest VerdictPending.
-				st.pendingClassify = false
 			case st.rec.Verdict == VerdictPending && st.asm.zeroRTT:
 				// Evicted mid-flow with only 0-RTT early data seen: the
 				// hello was never coming, so the flow leaves as an explicit
@@ -382,6 +385,7 @@ func NewWithConfig(bank *Bank, cfg Config) *Pipeline {
 				// never saw this flow.
 				st.rec.Verdict = VerdictNoHandshake
 			}
+			p.releaseAsm(st)
 			if cfg.OnEvict != nil {
 				rec := st.rec
 				cfg.OnEvict(&rec, reason)
@@ -528,9 +532,9 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.Flo
 	}
 	var complete bool
 	if parsed != nil {
-		complete = st.asm.consumeParsed(parsed, frame)
+		complete = st.asm.consumeParsed(parsed, frame, &p.hs)
 	} else {
-		complete = st.asm.consume(&p.parser, &p.parsed, frame)
+		complete = st.asm.consume(&p.parser, &p.parsed, frame, &p.hs)
 	}
 	if timed {
 		d := time.Since(asmStart)
@@ -561,7 +565,7 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.Flo
 			p.finishSpan(st, "oversized")
 		}
 		if st.done {
-			st.asm = hsAssembler{} // release buffered handshake bytes
+			p.releaseAsm(st)
 		}
 		return nil, nil
 	}
@@ -584,7 +588,7 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.Flo
 			st.span.SNI = sni // the record stays SNI-less for non-video flows
 		}
 		p.finishSpan(st, "not-video")
-		st.asm = hsAssembler{}
+		p.releaseAsm(st)
 		return nil, nil
 	}
 	p.VideoPackets++
@@ -600,7 +604,7 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.Flo
 		// Batch mode: park the completed handshake until the shard worker
 		// flushes the batch, so one compiled-forest sweep classifies every
 		// completed flow of the batch together. st.asm keeps owning the
-		// handshake bytes (info aliases them) until finishClassification.
+		// handshake buffer (info aliases it) until finishClassification.
 		p.deferClassify(st, prov, info)
 		return nil, nil
 	}
@@ -640,7 +644,7 @@ func (p *Pipeline) finishClassification(st *flowState, info *features.HandshakeI
 			st.span.ModelVersion = bank.Version
 		}
 		p.finishSpan(st, "error")
-		st.asm = hsAssembler{}
+		p.releaseAsm(st)
 		return nil, err
 	}
 	st.rec.Prediction = pred
@@ -665,8 +669,17 @@ func (p *Pipeline) finishClassification(st *flowState, info *features.HandshakeI
 		hookRec := st.rec
 		p.cfg.OnClassify(&hookRec, info)
 	}
-	st.asm = hsAssembler{} // release only after the hook: info aliases it
+	p.releaseAsm(st) // only after the hook: info aliases the buffer
 	return &out, nil
+}
+
+// releaseAsm ends a flow's handshake assembly: its buffer goes back to the
+// pipeline's free list and the assembler is cleared. The one release point
+// for every terminal path; call it only once nothing aliases the buffer
+// (after Config.OnClassify has returned).
+func (p *Pipeline) releaseAsm(st *flowState) {
+	p.hs.put(st.asm.buf)
+	st.asm = hsAssembler{}
 }
 
 // hintFor resolves the provider hint for a flow's server side (the 443
@@ -750,13 +763,13 @@ func (p *Pipeline) finishDegraded(st *flowState, info *features.HandshakeInfo, f
 		p.earlyClassified.Add(1)
 		p.finishSpan(st, best.Device+"/"+best.Agent)
 		out := st.rec
-		st.asm = hsAssembler{}
+		p.releaseAsm(st)
 		return &out, nil
 	}
 	st.rec.Verdict = fallback
 	p.UnknownFlows++
 	p.finishSpan(st, fallback.String())
-	st.asm = hsAssembler{}
+	p.releaseAsm(st)
 	return nil, nil
 }
 
@@ -930,6 +943,13 @@ func growPreds(s []Prediction, n int) []Prediction {
 // batch keeps deferral latency at one batch). The batch's classify time is
 // attributed evenly across its flows. No-op when nothing was deferred.
 func (p *Pipeline) flushBatch(deliver func(*FlowRecord)) {
+	for i, rec := range p.evictedRecs {
+		p.evictedRecs[i] = nil
+		if deliver != nil {
+			deliver(rec)
+		}
+	}
+	p.evictedRecs = p.evictedRecs[:0]
 	if len(p.pending) == 0 {
 		return
 	}
@@ -952,9 +972,6 @@ func (p *Pipeline) flushBatch(deliver func(*FlowRecord)) {
 			per = int64(time.Since(start)) / int64(n)
 		}
 		for i, st := range g.flows {
-			if !st.pendingClassify {
-				continue // evicted between deferral and flush
-			}
 			st.pendingClassify = false
 			rec, ferr := p.finishClassification(st, g.infos[i], g.preds[i], err, bank, per)
 			if ferr == nil && rec != nil && deliver != nil {
@@ -969,6 +986,39 @@ func (p *Pipeline) flushBatch(deliver func(*FlowRecord)) {
 		g.infos = g.infos[:0]
 	}
 	p.pending = p.pending[:0]
+}
+
+// classifyEvicted classifies a deferred flow that is evicted before its
+// batch flushes — an idle sweep or a cap eviction triggered by a later
+// frame of the same batch. It classifies the flow alone through the
+// pipeline's bank and scratch, exactly as immediate mode would have, so the
+// flow leaves with immediate mode's verdict instead of pending. Its record
+// is delivered with the batch's flush.
+func (p *Pipeline) classifyEvicted(st *flowState) {
+	for gi := range p.pending {
+		g := &p.pending[gi]
+		if i := slices.Index(g.flows, st); i >= 0 {
+			g.flows = slices.Delete(g.flows, i, i+1)
+			g.infos = slices.Delete(g.infos, i, i+1)
+			break
+		}
+	}
+	st.pendingClassify = false
+	info := &st.asm.info
+	bank := p.bank.Load()
+	var start time.Time
+	timed := p.cfg.Observer != nil || st.span != nil
+	if timed {
+		start = time.Now()
+	}
+	pred, err := bank.ClassifyHandshake(st.rec.Provider, st.rec.Transport, info, &p.scratch)
+	var nanos int64
+	if timed {
+		nanos = int64(time.Since(start))
+	}
+	if rec, err := p.finishClassification(st, info, pred, err, bank, nanos); err == nil && rec != nil {
+		p.evictedRecs = append(p.evictedRecs, rec)
+	}
 }
 
 // noteQueueWait records how long the batch about to be replayed waited in

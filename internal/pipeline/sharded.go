@@ -251,6 +251,13 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 	return s
 }
 
+// A new ingest batch is sized for a full replay batch of maximum-size
+// Ethernet frames, so its arena and frame list never regrow while packing.
+const (
+	batchFrames   = 64
+	maxFrameBytes = 1514
+)
+
 // getBatch returns an empty batch, recycling arena and frame capacity from
 // the pool when available.
 func (s *Sharded) getBatch() *ingestBatch {
@@ -259,7 +266,10 @@ func (s *Sharded) getBatch() *ingestBatch {
 		b.frames = b.frames[:0]
 		return b
 	}
-	return new(ingestBatch)
+	return &ingestBatch{
+		arena:  make([]byte, 0, batchFrames*maxFrameBytes),
+		frames: make([]ingestFrame, 0, batchFrames),
+	}
 }
 
 // decode parses one frame — the single parse of the ingest path — into the

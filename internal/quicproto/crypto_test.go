@@ -7,7 +7,13 @@ import (
 	"videoplat/internal/wire"
 )
 
-// buildFrames assembles a raw frame sequence for assembleCrypto tests.
+// assemble runs assembleCrypto over a decrypted frame sequence.
+func assemble(p *Initial, frames []byte) error {
+	var o InitialOpener
+	return o.assembleCrypto(p, &frames)
+}
+
+// cryptoFrame encodes one CRYPTO frame for assembleCrypto tests.
 func cryptoFrame(off uint64, data []byte) []byte {
 	w := wire.NewWriter(16 + len(data))
 	w.Uint8(frameCrypto)
@@ -26,7 +32,7 @@ func TestAssembleCryptoOutOfOrderSegments(t *testing.T) {
 	frames = append(frames, 0x00, 0x00) // trailing PADDING
 
 	p := &Initial{}
-	if err := p.assembleCrypto(frames); err != nil {
+	if err := assemble(p, frames); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(p.CryptoData, want) {
@@ -41,7 +47,7 @@ func TestAssembleCryptoOverlappingSegments(t *testing.T) {
 	frames = append(frames, cryptoFrame(6, want[6:])...) // overlaps 6..10
 
 	p := &Initial{}
-	if err := p.assembleCrypto(frames); err != nil {
+	if err := assemble(p, frames); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(p.CryptoData, want) {
@@ -55,7 +61,7 @@ func TestAssembleCryptoGapDetected(t *testing.T) {
 	frames = append(frames, cryptoFrame(10, []byte("xyz"))...) // hole 3..10
 
 	p := &Initial{}
-	if err := p.assembleCrypto(frames); err == nil {
+	if err := assemble(p, frames); err == nil {
 		t.Error("gap not detected")
 	}
 }
@@ -65,7 +71,7 @@ func TestAssembleCryptoSkipsACK(t *testing.T) {
 	ack := []byte{0x02, 0x05, 0x00, 0x00, 0x02}
 	frames := append(append([]byte{}, ack...), cryptoFrame(0, []byte("ch"))...)
 	p := &Initial{}
-	if err := p.assembleCrypto(frames); err != nil {
+	if err := assemble(p, frames); err != nil {
 		t.Fatal(err)
 	}
 	if string(p.CryptoData) != "ch" {
@@ -76,7 +82,7 @@ func TestAssembleCryptoSkipsACK(t *testing.T) {
 func TestAssembleCryptoRejectsUnexpectedFrame(t *testing.T) {
 	// STREAM frames (0x08+) are not allowed in Initial packets.
 	p := &Initial{}
-	if err := p.assembleCrypto([]byte{0x08, 0x00}); err == nil {
+	if err := assemble(p, []byte{0x08, 0x00}); err == nil {
 		t.Error("STREAM frame accepted in Initial")
 	}
 }
@@ -85,7 +91,7 @@ func TestAssembleCryptoTruncatedFrame(t *testing.T) {
 	p := &Initial{}
 	// CRYPTO header claims 100 bytes but only 2 follow.
 	bad := []byte{frameCrypto, 0x00, 0x64, 'a', 'b'}
-	if err := p.assembleCrypto(bad); err == nil {
+	if err := assemble(p, bad); err == nil {
 		t.Error("truncated crypto accepted")
 	}
 }

@@ -2,6 +2,7 @@ package quicproto
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -50,13 +51,29 @@ func sampleCrypto() []byte {
 }
 
 func FuzzParseInitial(f *testing.F) {
-	for _, dg := range fuzzSeeds(f) {
+	seeds := fuzzSeeds(f)
+	for _, dg := range seeds {
 		f.Add(dg)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ParseInitial(data)
+		// The same bytes through an opener, Initial and buffer that have
+		// already decrypted a packet must give the same answer.
+		var o InitialOpener
+		var reused Initial
+		var buf []byte
+		if err := o.ParseInto(&reused, seeds[0], &buf); err != nil {
+			t.Fatalf("seed Initial: %v", err)
+		}
+		reuseErr := o.ParseInto(&reused, data, &buf)
+		if (err == nil) != (reuseErr == nil) {
+			t.Fatalf("fresh parse error %v, reused parse error %v", err, reuseErr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(&reused, p) {
+			t.Fatalf("reused parse differs from a fresh one:\n got %+v\nwant %+v", reused, *p)
 		}
 		// Accepted packets must respect the reassembly bounds: CIDs capped
 		// at the RFC 9000 maximum, CRYPTO capped so an attacker-controlled

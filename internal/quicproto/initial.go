@@ -1,10 +1,13 @@
 package quicproto
 
 import (
+	"cmp"
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 
 	"videoplat/internal/wire"
 )
@@ -27,56 +30,78 @@ var (
 	ErrMalformed     = errors.New("quicproto: malformed packet")
 )
 
-// keys holds one direction's Initial packet-protection material.
-type keys struct {
-	aead cipher.AEAD
-	iv   []byte
-	hp   cipher.Block // AES-ECB header-protection cipher
+// malformedError is one detail of ErrMalformed. The details are constants,
+// so rejecting a packet allocates nothing.
+type malformedError string
+
+func (e malformedError) Error() string { return ErrMalformed.Error() + ": " + string(e) }
+func (e malformedError) Unwrap() error { return ErrMalformed }
+
+// HKDF-Expand-Label messages of the client Initial schedule (RFC 9001
+// §5.2), built once.
+var (
+	infoClientIn = labelInfo("client in", 32)
+	infoQuicKey  = labelInfo("quic key", 16)
+	infoQuicIV   = labelInfo("quic iv", 12)
+	infoQuicHP   = labelInfo("quic hp", 16)
+)
+
+// maxFixedHeader is the header length the opener copies without
+// allocating: the longest header without a token is 67 bytes, so this
+// leaves room for any token short of a retry-sized one.
+const maxFixedHeader = 256
+
+// InitialOpener decrypts client Initial packets with reusable scratch. The
+// key schedule, the header and the nonce live in fixed arrays, and the
+// CRYPTO reassembly index keeps its capacity, so a warm opener allocates
+// only the AES key schedules and GCM state the standard library builds for
+// each packet's keys. The zero value is ready to use; not safe for
+// concurrent use.
+type InitialOpener struct {
+	hmac   [2 * sha256.BlockSize]byte
+	secret [sha256.Size]byte // the Initial secret, then the client secret
+	key    [sha256.Size]byte // payload key in the first 16 bytes
+	iv     [sha256.Size]byte // static IV in the first 12 bytes
+	hpKey  [sha256.Size]byte // header-protection key in the first 16 bytes
+	nonce  [12]byte
+	mask   [aes.BlockSize]byte
+	hdr    [maxFixedHeader]byte
+	segs   []cryptoSeg
 }
 
-// deriveKeys derives the client's (or server's) Initial keys from the
-// client's destination connection ID.
-func deriveKeys(dcid []byte, label string) (*keys, error) {
-	initialSecret := hkdfExtract(initialSaltV1, dcid)
-	side := hkdfExpandLabel(initialSecret, label, 32)
-	key := hkdfExpandLabel(side, "quic key", 16)
-	iv := hkdfExpandLabel(side, "quic iv", 12)
-	hpKey := hkdfExpandLabel(side, "quic hp", 16)
+// clientKeys derives the client's Initial keys from the client's
+// destination connection ID into o's arrays, and builds the payload and
+// header-protection ciphers over them.
+//
+//vp:hotpath
+func (o *InitialOpener) clientKeys(dcid []byte) (cipher.AEAD, cipher.Block, error) {
+	o.secret = hmacSHA256(o.hmac[:], initialSaltV1, dcid) // HKDF-Extract
+	o.secret = hmacSHA256(o.hmac[:], o.secret[:], infoClientIn)
+	o.key = hmacSHA256(o.hmac[:], o.secret[:], infoQuicKey)
+	o.iv = hmacSHA256(o.hmac[:], o.secret[:], infoQuicIV)
+	o.hpKey = hmacSHA256(o.hmac[:], o.secret[:], infoQuicHP)
 
-	block, err := aes.NewCipher(key)
+	block, err := aes.NewCipher(o.key[:16]) //vp:allocok AES key schedule per packet key; the standard library cannot re-key a cipher
 	if err != nil {
-		return nil, fmt.Errorf("quicproto: aead key: %w", err)
+		return nil, nil, err
 	}
-	aead, err := cipher.NewGCM(block)
+	aead, err := cipher.NewGCM(block) //vp:allocok GCM state per packet key; the standard library cannot re-key it
 	if err != nil {
-		return nil, fmt.Errorf("quicproto: gcm: %w", err)
+		return nil, nil, err
 	}
-	hp, err := aes.NewCipher(hpKey)
+	hp, err := aes.NewCipher(o.hpKey[:16]) //vp:allocok AES key schedule per header-protection key; no re-key API
 	if err != nil {
-		return nil, fmt.Errorf("quicproto: hp key: %w", err)
+		return nil, nil, err
 	}
-	return &keys{aead: aead, iv: iv, hp: hp}, nil
+	return aead, hp, nil
 }
 
-func clientKeys(dcid []byte) (*keys, error) { return deriveKeys(dcid, "client in") }
-
-// nonce XORs the packet number into the static IV.
-func (k *keys) nonce(pn uint64) []byte {
-	n := make([]byte, len(k.iv))
-	copy(n, k.iv)
+// setNonce XORs the packet number into the static IV (RFC 9001 §5.3).
+func (o *InitialOpener) setNonce(pn uint64) {
+	copy(o.nonce[:], o.iv[:len(o.nonce)])
 	for i := 0; i < 8; i++ {
-		n[len(n)-1-i] ^= byte(pn >> (8 * i))
+		o.nonce[len(o.nonce)-1-i] ^= byte(pn >> (8 * i))
 	}
-	return n
-}
-
-// headerProtectionMask computes the 5-byte HP mask from the 16-byte sample.
-func (k *keys) headerProtectionMask(sample []byte) [5]byte {
-	var block [16]byte
-	k.hp.Encrypt(block[:], sample)
-	var mask [5]byte
-	copy(mask[:], block[:5])
-	return mask
 }
 
 // Initial is a decoded (or to-be-encoded) QUIC Initial packet.
@@ -119,111 +144,141 @@ const (
 // datagram. Coalesced packets after the Initial are ignored. The CRYPTO
 // stream is reassembled in offset order.
 func ParseInitial(datagram []byte) (*Initial, error) {
+	var o InitialOpener
+	var buf []byte
+	p := new(Initial)
+	if err := o.ParseInto(p, datagram, &buf); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// ParseInto is ParseInitial into caller-owned storage. Every field of p is
+// overwritten. The decrypted payload goes into *buf, reusing its capacity,
+// and p.CryptoData aliases *buf: in place when the packet carries one
+// CRYPTO frame, else as a reassembled run appended after the payload.
+// p.DCID, p.SCID and p.Token alias datagram. The result is identical to a
+// fresh ParseInitial whatever p and *buf held before.
+//
+//vp:hotpath
+func (o *InitialOpener) ParseInto(p *Initial, datagram []byte, buf *[]byte) error {
 	r := wire.NewReader(datagram)
 	first, err := r.Uint8()
 	if err != nil {
-		return nil, fmt.Errorf("%w: empty datagram", ErrMalformed)
+		return malformedError("empty datagram")
 	}
 	if first&0x80 == 0 {
-		return nil, ErrNotLongHeader
+		return ErrNotLongHeader
 	}
 	if (first>>4)&0x03 != 0 { // long packet type: Initial = 0
-		return nil, ErrNotInitial
+		return ErrNotInitial
 	}
 	version, err := r.Uint32()
 	if err != nil {
-		return nil, fmt.Errorf("%w: version", ErrMalformed)
+		return malformedError("version")
 	}
 	if version != Version1 {
-		return nil, fmt.Errorf("%w: %#x", ErrBadVersion, version)
+		return ErrBadVersion
 	}
-	p := &Initial{Version: version}
+	*p = Initial{Version: version}
 
 	dcidLen, err := r.Uint8()
 	if err != nil || dcidLen > 20 {
-		return nil, fmt.Errorf("%w: dcid length", ErrMalformed)
+		return malformedError("dcid length")
 	}
 	if p.DCID, err = r.Bytes(int(dcidLen)); err != nil {
-		return nil, fmt.Errorf("%w: dcid", ErrMalformed)
+		return malformedError("dcid")
 	}
 	scidLen, err := r.Uint8()
 	if err != nil || scidLen > 20 {
-		return nil, fmt.Errorf("%w: scid length", ErrMalformed)
+		return malformedError("scid length")
 	}
 	if p.SCID, err = r.Bytes(int(scidLen)); err != nil {
-		return nil, fmt.Errorf("%w: scid", ErrMalformed)
+		return malformedError("scid")
 	}
 	tokenLen, err := r.Varint()
 	if err != nil {
-		return nil, fmt.Errorf("%w: token length", ErrMalformed)
+		return malformedError("token length")
 	}
 	if p.Token, err = r.Bytes(int(tokenLen)); err != nil {
-		return nil, fmt.Errorf("%w: token", ErrMalformed)
+		return malformedError("token")
 	}
 	length, err := r.Varint()
 	if err != nil {
-		return nil, fmt.Errorf("%w: length", ErrMalformed)
+		return malformedError("length")
 	}
 	pnOffset := r.Offset()
 	if int(length) > r.Len() || length < 20 {
-		return nil, fmt.Errorf("%w: packet length %d", ErrMalformed, length)
+		return malformedError("packet length")
 	}
-
-	k, err := clientKeys(p.DCID)
-	if err != nil {
-		return nil, err
-	}
-
 	// Remove header protection: sample starts 4 bytes past the start of the
 	// packet number field.
 	if pnOffset+4+16 > len(datagram) {
-		return nil, fmt.Errorf("%w: too short for hp sample", ErrMalformed)
+		return malformedError("too short for hp sample")
 	}
-	hdr := append([]byte{}, datagram[:pnOffset]...)
-	mask := k.headerProtectionMask(datagram[pnOffset+4 : pnOffset+4+16])
-	firstUnmasked := first ^ (mask[0] & 0x0f)
+
+	aead, hp, err := o.clientKeys(p.DCID)
+	if err != nil {
+		return err
+	}
+	hp.Encrypt(o.mask[:], datagram[pnOffset+4:pnOffset+4+16])
+	firstUnmasked := first ^ (o.mask[0] & 0x0f)
 	pnLen := int(firstUnmasked&0x03) + 1
+	hdr := o.hdr[:0]
+	hdr = append(hdr, datagram[:pnOffset]...) // allocates only past maxFixedHeader
 	hdr[0] = firstUnmasked
 	var pn uint64
 	for i := 0; i < pnLen; i++ {
-		b := datagram[pnOffset+i] ^ mask[1+i]
+		b := datagram[pnOffset+i] ^ o.mask[1+i]
 		hdr = append(hdr, b)
 		pn = pn<<8 | uint64(b)
 	}
 	p.PacketNumber = pn
+	o.setNonce(pn)
 
 	ciphertext := datagram[pnOffset+pnLen : pnOffset+int(length)]
-	plaintext, err := k.aead.Open(nil, k.nonce(pn), ciphertext, hdr)
+	plaintext, err := aead.Open((*buf)[:0], o.nonce[:], ciphertext, hdr)
 	if err != nil {
-		return nil, ErrAuthFailure
+		return ErrAuthFailure
 	}
-	if err := p.assembleCrypto(plaintext); err != nil {
-		return nil, err
+	*buf = plaintext
+	if err := o.assembleCrypto(p, buf); err != nil {
+		return err
 	}
 	p.WireSize = len(datagram)
-	return p, nil
+	return nil
 }
 
-// assembleCrypto walks the frame sequence and reassembles the CRYPTO data
-// this packet carries into one contiguous run. The run need not start at
-// stream offset 0 — a hello split across Initials puts later fragments at
-// nonzero offsets — so the result is (CryptoOffset, CryptoData). Gaps
-// *within* one packet's segments remain malformed (no real stack fragments
-// its own flight), and the total reassembly is bounded by maxCryptoLen so
-// forged offset varints cannot demand huge buffers.
-func (p *Initial) assembleCrypto(frames []byte) error {
-	type segment struct {
-		off  uint64
-		data []byte
-	}
-	var segs []segment
+// cryptoSeg is one CRYPTO frame of a decrypted payload: its stream offset
+// and where its bytes sit in the payload.
+type cryptoSeg struct {
+	off      uint64
+	from, to int
+}
+
+func cmpSegOff(a, b cryptoSeg) int { return cmp.Compare(a.off, b.off) }
+
+// assembleCrypto walks the frame sequence in *buf and reassembles the
+// CRYPTO data this packet carries into one contiguous run. The run need not
+// start at stream offset 0 — a hello split across Initials puts later
+// fragments at nonzero offsets — so the result is (CryptoOffset,
+// CryptoData). A single CRYPTO frame is the run and is read in place;
+// several are copied into a run appended to *buf. Gaps *within* one
+// packet's segments remain malformed (no real stack fragments its own
+// flight), and the total reassembly is bounded by maxCryptoLen so forged
+// offset varints cannot demand huge buffers.
+//
+//vp:hotpath
+func (o *InitialOpener) assembleCrypto(p *Initial, buf *[]byte) error {
+	frames := *buf
+	segs := o.segs[:0]
 	minOff := uint64(1<<63 - 1)
 	var maxEnd uint64
 	r := wire.NewReader(frames)
 	for !r.Empty() {
 		ft, err := r.Varint()
 		if err != nil {
-			return fmt.Errorf("%w: frame type", ErrMalformed)
+			return malformedError("frame type")
 		}
 		switch {
 		case ft == framePadding, ft == framePing:
@@ -235,20 +290,20 @@ func (p *Initial) assembleCrypto(frames []byte) error {
 		case ft == frameCrypto:
 			off, err := r.Varint()
 			if err != nil {
-				return fmt.Errorf("%w: crypto offset", ErrMalformed)
+				return malformedError("crypto offset")
 			}
 			n, err := r.Varint()
 			if err != nil {
-				return fmt.Errorf("%w: crypto length", ErrMalformed)
+				return malformedError("crypto length")
 			}
 			if off > maxCryptoLen || n > maxCryptoLen || off+n > maxCryptoLen {
-				return fmt.Errorf("%w: crypto stream exceeds %d bytes", ErrMalformed, maxCryptoLen)
+				return malformedError("crypto stream over 256 KiB")
 			}
-			data, err := r.Bytes(int(n))
-			if err != nil {
-				return fmt.Errorf("%w: crypto data", ErrMalformed)
+			from := r.Offset()
+			if err := r.Skip(int(n)); err != nil {
+				return malformedError("crypto data")
 			}
-			segs = append(segs, segment{off, data})
+			segs = append(segs, cryptoSeg{off: off, from: from, to: from + int(n)})
 			if off < minOff {
 				minOff = off
 			}
@@ -256,28 +311,41 @@ func (p *Initial) assembleCrypto(frames []byte) error {
 				maxEnd = off + n
 			}
 		default:
-			return fmt.Errorf("%w: unexpected frame type %#x in Initial", ErrMalformed, ft)
+			return malformedError("unexpected frame type in Initial")
 		}
 	}
+	o.segs = segs
 	if maxEnd == 0 {
 		return nil
 	}
-	span := maxEnd - minOff
-	buf := make([]byte, span)
-	filled := make([]bool, span)
+	if len(segs) == 1 {
+		p.CryptoOffset = minOff
+		p.CryptoData = frames[segs[0].from:segs[0].to]
+		return nil
+	}
+	// Copy in arrival order, so a later overlapping segment wins, then
+	// check coverage in offset order.
+	n, span := len(frames), int(maxEnd-minOff)
+	out := frames
+	if cap(out) < n+span {
+		out = make([]byte, n, n+span) //vp:allocok grows *buf once; it keeps the capacity
+		copy(out, frames)
+	}
+	out = out[:n+span]
 	for _, s := range segs {
-		copy(buf[s.off-minOff:], s.data)
-		for i := uint64(0); i < uint64(len(s.data)); i++ {
-			filled[s.off-minOff+i] = true
-		}
+		copy(out[n+int(s.off-minOff):], out[s.from:s.to])
 	}
-	for _, ok := range filled {
-		if !ok {
-			return fmt.Errorf("%w: crypto stream has gaps", ErrMalformed)
+	slices.SortFunc(segs, cmpSegOff) //vp:allocok generic type parameter, not an interface: nothing is boxed
+	covered := minOff
+	for _, s := range segs {
+		if s.off > covered {
+			return malformedError("crypto stream has gaps")
 		}
+		covered = max(covered, s.off+uint64(s.to-s.from))
 	}
+	*buf = out
 	p.CryptoOffset = minOff
-	p.CryptoData = buf
+	p.CryptoData = out[n:]
 	return nil
 }
 
@@ -285,27 +353,27 @@ func skipACK(r *wire.Reader, ft uint64) error {
 	// largest acked, ack delay (RFC 9000 §19.3)
 	for i := 0; i < 2; i++ {
 		if _, err := r.Varint(); err != nil {
-			return fmt.Errorf("%w: ack", ErrMalformed)
+			return malformedError("ack")
 		}
 	}
 	count, err := r.Varint()
 	if err != nil {
-		return fmt.Errorf("%w: ack range count", ErrMalformed)
+		return malformedError("ack range count")
 	}
 	if _, err := r.Varint(); err != nil { // first ack range
-		return fmt.Errorf("%w: ack first range", ErrMalformed)
+		return malformedError("ack first range")
 	}
 	for i := uint64(0); i < count; i++ { // gap + range length pairs
 		for j := 0; j < 2; j++ {
 			if _, err := r.Varint(); err != nil {
-				return fmt.Errorf("%w: ack range %d", ErrMalformed, i)
+				return malformedError("ack range")
 			}
 		}
 	}
 	if ft == frameACK+1 { // ACK_ECN: ECT0, ECT1, CE counts
 		for j := 0; j < 3; j++ {
 			if _, err := r.Varint(); err != nil {
-				return fmt.Errorf("%w: ack ecn counts", ErrMalformed)
+				return malformedError("ack ecn counts")
 			}
 		}
 	}
@@ -324,11 +392,6 @@ func (p *Initial) Seal(minSize int) ([]byte, error) {
 	if minSize == 0 {
 		minSize = MinInitialSize
 	}
-	if len(p.DCID) > 20 || len(p.SCID) > 20 {
-		return nil, fmt.Errorf("%w: connection id too long", ErrMalformed)
-	}
-	const pnLen = 4 // fixed-length packet number keeps the header math simple
-
 	// Plaintext frames: CRYPTO(offset=CryptoOffset) + padding.
 	frames := wire.NewWriter(len(p.CryptoData) + 64)
 	frames.Uint8(frameCrypto)
@@ -339,6 +402,16 @@ func (p *Initial) Seal(minSize int) ([]byte, error) {
 		return nil, err
 	}
 	frames.Write(p.CryptoData)
+	return p.sealFrames(frames.Bytes(), minSize)
+}
+
+// sealFrames is Seal over an encoded plaintext frame sequence: it pads the
+// frames to minSize, then encrypts and header-protects the packet.
+func (p *Initial) sealFrames(frames []byte, minSize int) ([]byte, error) {
+	if len(p.DCID) > 20 || len(p.SCID) > 20 {
+		return nil, fmt.Errorf("%w: connection id too long", ErrMalformed)
+	}
+	const pnLen = 4 // fixed-length packet number keeps the header math simple
 
 	// Compute header size to find how much padding reaches minSize.
 	hdrLen := func(payloadLen int) int {
@@ -347,11 +420,11 @@ func (p *Initial) Seal(minSize int) ([]byte, error) {
 		n += wire.VarintLen(uint64(pnLen + payloadLen + 16)) // length field
 		return n
 	}
-	plainLen := frames.Len()
+	plainLen := len(frames)
 	total := hdrLen(plainLen) + pnLen + plainLen + 16
 	if total < minSize {
 		pad := minSize - total
-		frames.Write(make([]byte, pad))
+		frames = append(frames[:plainLen:plainLen], make([]byte, pad)...)
 		plainLen += pad
 	}
 
@@ -376,19 +449,21 @@ func (p *Initial) Seal(minSize int) ([]byte, error) {
 		hdr.Uint8(byte(p.PacketNumber >> (8 * i)))
 	}
 
-	k, err := clientKeys(p.DCID)
+	var o InitialOpener
+	aead, hp, err := o.clientKeys(p.DCID)
 	if err != nil {
 		return nil, err
 	}
-	ciphertext := k.aead.Seal(nil, k.nonce(p.PacketNumber), frames.Bytes(), hdr.Bytes())
+	o.setNonce(p.PacketNumber)
+	ciphertext := aead.Seal(nil, o.nonce[:], frames, hdr.Bytes())
 
 	out := append(append([]byte{}, hdr.Bytes()...), ciphertext...)
 
 	// Apply header protection.
-	mask := k.headerProtectionMask(out[pnOffset+4 : pnOffset+4+16])
-	out[0] ^= mask[0] & 0x0f
+	hp.Encrypt(o.mask[:], out[pnOffset+4:pnOffset+4+16])
+	out[0] ^= o.mask[0] & 0x0f
 	for i := 0; i < pnLen; i++ {
-		out[pnOffset+i] ^= mask[1+i]
+		out[pnOffset+i] ^= o.mask[1+i]
 	}
 	p.WireSize = len(out)
 	return out, nil

@@ -1,10 +1,6 @@
 package quicproto
 
-import (
-	"fmt"
-
-	"videoplat/internal/wire"
-)
+import "videoplat/internal/wire"
 
 // Transport parameter IDs (RFC 9000 §18.2 plus extensions seen in the wild).
 const (
@@ -45,24 +41,41 @@ type TransportParameters struct {
 
 // ParseTransportParameters decodes an extension-57 body.
 func ParseTransportParameters(b []byte) (*TransportParameters, error) {
-	tp := &TransportParameters{}
+	tp := new(TransportParameters)
+	if err := ParseTransportParametersInto(tp, b); err != nil {
+		return nil, err
+	}
+	return tp, nil
+}
+
+// ParseTransportParametersInto is ParseTransportParameters into a
+// caller-owned list, reusing the capacity of tp.Params; values alias b. An
+// empty body leaves Params nil, so the result is identical to a fresh
+// parse whatever tp held before.
+//
+//vp:hotpath
+func ParseTransportParametersInto(tp *TransportParameters, b []byte) error {
+	tp.Params = tp.Params[:0]
 	r := wire.NewReader(b)
 	for !r.Empty() {
 		id, err := r.Varint()
 		if err != nil {
-			return nil, fmt.Errorf("%w: param id", ErrMalformed)
+			return malformedError("param id")
 		}
 		n, err := r.Varint()
 		if err != nil {
-			return nil, fmt.Errorf("%w: param %#x length", ErrMalformed, id)
+			return malformedError("param length")
 		}
 		val, err := r.Bytes(int(n))
 		if err != nil {
-			return nil, fmt.Errorf("%w: param %#x value", ErrMalformed, id)
+			return malformedError("param value")
 		}
 		tp.Params = append(tp.Params, TransportParameter{ID: id, Value: val})
 	}
-	return tp, nil
+	if len(tp.Params) == 0 {
+		tp.Params = nil
+	}
+	return nil
 }
 
 // Marshal encodes the parameters in order.

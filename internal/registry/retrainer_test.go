@@ -80,11 +80,18 @@ func TestRetrainerClosesTheDriftLoop(t *testing.T) {
 
 	// feed classifies every flow against whatever bank is currently active
 	// — exactly what the serving pipeline does — and wires the monitor and
-	// shadow hooks the way internal/server does.
+	// shadow hooks the way internal/server does. A pass ends early once a
+	// verdict is in flight or the active bank has changed: the rest of it
+	// was classified by a bank on its way out, and observing those records
+	// lets the hair-trigger monitor start a second cycle, whose promotion
+	// can land after the one the assertions below examine.
 	feed := func(ds *tracegen.Dataset) {
 		cur := reg.Current()
 		recs, vals := classifyAll(t, cur.Bank, ds)
 		for i := range recs {
+			if verdictInFlight(rt) || reg.Current() != cur {
+				return
+			}
 			mon.Observe(recs[i])
 			rt.ObserveClassified(recs[i], vals[i])
 		}
@@ -109,6 +116,7 @@ func TestRetrainerClosesTheDriftLoop(t *testing.T) {
 		default:
 		}
 		feed(open)
+		waitFor(t, 5*time.Second, func() bool { return !verdictInFlight(rt) })
 	}
 	// One full cycle is what this test pins down; stop the loop so the
 	// hair-trigger config (1ms cooldown, tiny windows) cannot start a
@@ -189,8 +197,18 @@ func TestRetrainerRejectionRearmsMonitor(t *testing.T) {
 	}
 	rt.BindMonitor(mon)
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go rt.Start(ctx)
+	// Wait for the retrain loop to exit before the registry directory is
+	// removed: a retrain the re-armed monitor triggers late may still be
+	// writing its candidate there.
+	stopped := make(chan struct{})
+	defer func() {
+		cancel()
+		<-stopped
+	}()
+	go func() {
+		rt.Start(ctx)
+		close(stopped)
+	}()
 
 	closed, err := tracegen.New(22).LabDataset(0.03, fingerprint.Options{})
 	if err != nil {
@@ -200,9 +218,16 @@ func TestRetrainerRejectionRearmsMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// As in TestRetrainerClosesTheDriftLoop, a pass ends once a verdict is
+	// in flight or the rejection has landed: observing more would start
+	// another shadow, whose verdict could write to the registry after the
+	// test has returned.
 	feed := func(ds *tracegen.Dataset) {
 		recs, vals := classifyAll(t, reg.Current().Bank, ds)
 		for i := range recs {
+			if verdictInFlight(rt) || rt.Status().Rejections > 0 {
+				return
+			}
 			mon.Observe(recs[i])
 			rt.ObserveClassified(recs[i], vals[i])
 		}
@@ -218,6 +243,7 @@ func TestRetrainerRejectionRearmsMonitor(t *testing.T) {
 		default:
 		}
 		feed(open)
+		waitFor(t, 5*time.Second, func() bool { return !verdictInFlight(rt) })
 	}
 	if got := reg.Current().Manifest.ID; got != "v0001" {
 		t.Fatalf("bad candidate was promoted: %s", got)
@@ -230,6 +256,14 @@ func TestRetrainerRejectionRearmsMonitor(t *testing.T) {
 		}
 		return false
 	})
+}
+
+// verdictInFlight reports a shadow verdict that is reached but not yet
+// applied: the retrainer's goroutine is promoting or rejecting the
+// candidate.
+func verdictInFlight(rt *Retrainer) bool {
+	st := rt.Status()
+	return !st.ShadowActive && st.Retrains > st.Promotions+st.Rejections
 }
 
 func waitFor(t *testing.T, d time.Duration, cond func() bool) {

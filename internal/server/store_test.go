@@ -274,6 +274,9 @@ func TestMetricsMatchCatalog(t *testing.T) {
 		cancel()
 		<-runErr
 	}()
+	// The latency series appear once a stage has recorded a sample, so
+	// scrape only after the finite replay has gone through ingest.
+	<-srv.ReplayDone()
 
 	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
 	if err != nil {

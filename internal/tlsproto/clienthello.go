@@ -11,7 +11,6 @@ package tlsproto
 
 import (
 	"errors"
-	"fmt"
 
 	"videoplat/internal/wire"
 )
@@ -243,125 +242,208 @@ func (ch *ClientHello) ExtensionLen(typ uint16) int {
 	return len(e.Data)
 }
 
+// malformedError is one detail of ErrMalformed. The details are constants,
+// so rejecting a hello allocates nothing: a hello split across TCP segments
+// or QUIC Initials is re-parsed, and rejected as truncated, on every piece
+// until it completes.
+type malformedError string
+
+func (e malformedError) Error() string { return ErrMalformed.Error() + ": " + string(e) }
+func (e malformedError) Unwrap() error { return ErrMalformed }
+
 // Parse decodes a ClientHello handshake message (starting at the handshake
 // header, i.e. after any TLS record framing). Returned slices alias msg.
 func Parse(msg []byte) (*ClientHello, error) {
+	ch := new(ClientHello)
+	if err := ParseInto(ch, msg); err != nil {
+		return nil, err
+	}
+	return ch, nil
+}
+
+// ParseInto is Parse into a caller-owned ClientHello. Every field is
+// overwritten; the capacity of ch.CipherSuites and ch.Extensions is reused,
+// so parsing into a warm ClientHello allocates nothing. The other slices
+// alias msg. Empty lists come back nil, which makes the result identical to
+// a fresh Parse of msg whatever ch held before. On error ch holds no
+// meaningful hello.
+//
+//vp:hotpath
+func ParseInto(ch *ClientHello, msg []byte) error {
 	r := wire.NewReader(msg)
 	typ, err := r.Uint8()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		return malformedError("empty handshake")
 	}
 	if typ != handshakeClientHello {
-		return nil, ErrNotClientHello
+		return ErrNotClientHello
 	}
 	bodyLen, err := r.Uint24()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		return malformedError("handshake length")
 	}
 	if int(bodyLen) > r.Len() {
-		return nil, fmt.Errorf("%w: handshake body truncated (%d > %d)", ErrMalformed, bodyLen, r.Len())
+		return malformedError("handshake body truncated")
 	}
 	body, _ := r.Bytes(int(bodyLen))
-	ch := &ClientHello{HandshakeLength: int(bodyLen)}
+	*ch = ClientHello{
+		HandshakeLength: int(bodyLen),
+		CipherSuites:    ch.CipherSuites[:0],
+		Extensions:      ch.Extensions[:0],
+	}
 	br := wire.NewReader(body)
 
 	if ch.LegacyVersion, err = br.Uint16(); err != nil {
-		return nil, fmt.Errorf("%w: version", ErrMalformed)
+		return malformedError("version")
 	}
 	random, err := br.Bytes(32)
 	if err != nil {
-		return nil, fmt.Errorf("%w: random", ErrMalformed)
+		return malformedError("random")
 	}
 	copy(ch.Random[:], random)
 
 	sidLen, err := br.Uint8()
 	if err != nil {
-		return nil, fmt.Errorf("%w: session id length", ErrMalformed)
+		return malformedError("session id length")
 	}
 	if ch.SessionID, err = br.Bytes(int(sidLen)); err != nil {
-		return nil, fmt.Errorf("%w: session id", ErrMalformed)
+		return malformedError("session id")
 	}
 
 	csLen, err := br.Uint16()
 	if err != nil || csLen%2 != 0 || int(csLen) > br.Len() {
-		return nil, fmt.Errorf("%w: cipher suite length", ErrMalformed)
+		return malformedError("cipher suite length")
 	}
-	ch.CipherSuites = make([]uint16, csLen/2)
-	for i := range ch.CipherSuites {
-		if ch.CipherSuites[i], err = br.Uint16(); err != nil {
-			return nil, fmt.Errorf("%w: cipher suites", ErrMalformed)
-		}
+	if n := int(csLen) / 2; cap(ch.CipherSuites) < n {
+		ch.CipherSuites = make([]uint16, 0, n) //vp:allocok sized once per ClientHello; a reused one keeps the capacity
+	}
+	for i := 0; i < int(csLen)/2; i++ {
+		cs, _ := br.Uint16() // csLen was checked against the body
+		ch.CipherSuites = append(ch.CipherSuites, cs)
+	}
+	if len(ch.CipherSuites) == 0 {
+		ch.CipherSuites = nil
 	}
 
 	cmLen, err := br.Uint8()
 	if err != nil {
-		return nil, fmt.Errorf("%w: compression length", ErrMalformed)
+		return malformedError("compression length")
 	}
 	if ch.CompressionMethods, err = br.Bytes(int(cmLen)); err != nil {
-		return nil, fmt.Errorf("%w: compression methods", ErrMalformed)
+		return malformedError("compression methods")
 	}
 
 	if br.Empty() {
-		return ch, nil // extensions are optional in TLS <= 1.2
+		ch.Extensions = nil // extensions are optional in TLS <= 1.2
+		return nil
 	}
 	extLen, err := br.Uint16()
 	if err != nil || int(extLen) > br.Len() {
-		return nil, fmt.Errorf("%w: extensions length", ErrMalformed)
+		return malformedError("extensions length")
 	}
 	ch.ExtensionsLength = int(extLen)
-	er := wire.NewReader(body[len(body)-br.Len() : len(body)-br.Len()+int(extLen)])
+	block, _ := br.Bytes(int(extLen))
+	if n := countExtensions(block); cap(ch.Extensions) < n {
+		ch.Extensions = make([]Extension, 0, n) //vp:allocok sized once per ClientHello; a reused one keeps the capacity
+	}
+	er := wire.NewReader(block)
 	for !er.Empty() {
 		typ, err := er.Uint16()
 		if err != nil {
-			return nil, fmt.Errorf("%w: extension type", ErrMalformed)
+			return malformedError("extension type")
 		}
 		dataLen, err := er.Uint16()
 		if err != nil {
-			return nil, fmt.Errorf("%w: extension length", ErrMalformed)
+			return malformedError("extension length")
 		}
 		data, err := er.Bytes(int(dataLen))
 		if err != nil {
-			return nil, fmt.Errorf("%w: extension %d body", ErrMalformed, typ)
+			return malformedError("extension body")
 		}
 		ch.Extensions = append(ch.Extensions, Extension{Type: typ, Data: data})
 	}
-	return ch, nil
+	if len(ch.Extensions) == 0 {
+		ch.Extensions = nil
+	}
+	return nil
+}
+
+// countExtensions counts the extension headers in an extensions block, so
+// a fresh ClientHello sizes its extension list once. Malformed trailing
+// bytes end the count; ParseInto reports them.
+//
+//vp:hotpath
+func countExtensions(block []byte) int {
+	n := 0
+	for len(block) >= 4 {
+		l := 4 + (int(block[2])<<8 | int(block[3]))
+		if l > len(block) {
+			break
+		}
+		block = block[l:]
+		n++
+	}
+	return n
 }
 
 // ParseRecord decodes a ClientHello wrapped in a TLS record, as found at the
 // start of a TCP connection's client byte stream. Multi-record hellos
 // (records split across the 16 KB boundary) are reassembled.
 func ParseRecord(stream []byte) (*ClientHello, error) {
+	var frag []byte
+	ch := new(ClientHello)
+	if err := ParseRecordInto(ch, stream, &frag); err != nil {
+		return nil, err
+	}
+	return ch, nil
+}
+
+// ParseRecordInto is ParseRecord into a caller-owned ClientHello (see
+// ParseInto). A hello inside its first record is parsed in place and
+// aliases stream. A hello spanning records is reassembled into *frag,
+// reusing its capacity, and aliases *frag.
+//
+//vp:hotpath
+func ParseRecordInto(ch *ClientHello, stream []byte, frag *[]byte) error {
 	var handshake []byte
 	r := wire.NewReader(stream)
-	for {
+	for records := 0; ; records++ {
 		typ, err := r.Uint8()
 		if err != nil {
-			return nil, fmt.Errorf("%w: record header", ErrMalformed)
+			return malformedError("record header")
 		}
 		if typ != recordTypeHandshake {
-			return nil, ErrNotHandshake
+			return ErrNotHandshake
 		}
 		if err := r.Skip(2); err != nil { // legacy record version
-			return nil, fmt.Errorf("%w: record version", ErrMalformed)
+			return malformedError("record version")
 		}
 		recLen, err := r.Uint16()
 		if err != nil {
-			return nil, fmt.Errorf("%w: record length", ErrMalformed)
+			return malformedError("record length")
 		}
-		frag, err := r.Bytes(int(recLen))
+		body, err := r.Bytes(int(recLen))
 		if err != nil {
-			return nil, fmt.Errorf("%w: record body truncated", ErrMalformed)
+			return malformedError("record body truncated")
 		}
-		handshake = append(handshake, frag...)
+		switch records {
+		case 0:
+			handshake = body
+		case 1:
+			*frag = append((*frag)[:0], handshake...)
+			fallthrough
+		default:
+			*frag = append(*frag, body...)
+			handshake = *frag
+		}
 		if len(handshake) >= 4 {
 			want := 4 + int(uint32(handshake[1])<<16|uint32(handshake[2])<<8|uint32(handshake[3]))
 			if len(handshake) >= want {
-				return Parse(handshake[:want])
+				return ParseInto(ch, handshake[:want])
 			}
 		}
 		if r.Empty() {
-			return nil, fmt.Errorf("%w: handshake spans more records than captured", ErrMalformed)
+			return malformedError("handshake spans more records than captured")
 		}
 	}
 }

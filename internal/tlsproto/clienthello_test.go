@@ -279,3 +279,102 @@ func BenchmarkMarshalClientHello(b *testing.B) {
 		_ = ch.Marshal()
 	}
 }
+
+// splitRecords wraps a handshake message in n TLS records of near-equal
+// size, the framing of a hello that spans records.
+func splitRecords(hs []byte, n int) []byte {
+	var out []byte
+	for i := 0; i < n; i++ {
+		frag := hs[i*len(hs)/n : (i+1)*len(hs)/n]
+		out = append(out, recordTypeHandshake, byte(VersionTLS10>>8), byte(VersionTLS10&0xff),
+			byte(len(frag)>>8), byte(len(frag)))
+		out = append(out, frag...)
+	}
+	return out
+}
+
+// TestParseIntoReuseLeaksNothing parses a full hello into a scratch
+// ClientHello and then hellos of other shapes into the same scratch. Each
+// result must equal a fresh parse field for field: nothing of the earlier
+// hello may survive in the reused lists.
+func TestParseIntoReuseLeaksNothing(t *testing.T) {
+	full := sampleHello()
+	fullMsg := full.Marshal()
+	fewer := sampleHello()
+	fewer.Extensions = fewer.Extensions[:3]
+	fewer.CipherSuites = fewer.CipherSuites[:2]
+	noSID := sampleHello()
+	noSID.SessionID = nil
+	noExt := sampleHello()
+	noExt.Extensions = nil
+	noSuites := sampleHello()
+	noSuites.CipherSuites = nil
+	cases := map[string][]byte{
+		"fewer extensions": fewer.Marshal(),
+		"empty session id": noSID.Marshal(),
+		"no extensions":    noExt.Marshal(),
+		"no cipher suites": noSuites.Marshal(),
+	}
+	for name, msg := range cases {
+		var scratch ClientHello
+		if err := ParseInto(&scratch, fullMsg); err != nil {
+			t.Fatal(err)
+		}
+		if err := ParseInto(&scratch, msg); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := Parse(msg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(&scratch, want) {
+			t.Errorf("%s: reused parse differs from a fresh one:\n got %+v\nwant %+v", name, scratch, *want)
+		}
+	}
+
+	// Multi-record: the reassembly buffer is dirtied by a longer hello
+	// first, then reused for a shorter one.
+	var scratch ClientHello
+	var frag []byte
+	if err := ParseRecordInto(&scratch, splitRecords(fullMsg, 3), &frag); err != nil {
+		t.Fatal(err)
+	}
+	short := splitRecords(cases["fewer extensions"], 2)
+	if err := ParseRecordInto(&scratch, short, &frag); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ParseRecord(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&scratch, want) {
+		t.Errorf("multi-record: reused parse differs from a fresh one")
+	}
+}
+
+// TestParseIntoZeroAlloc pins the warm-scratch contract: reparsing into a
+// ClientHello (and a reassembly buffer) that has held a hello allocates
+// nothing, in one record or several, and neither does rejecting a
+// truncated one.
+func TestParseIntoZeroAlloc(t *testing.T) {
+	msg := sampleHello().Marshal()
+	one, three := splitRecords(msg, 1), splitRecords(msg, 3)
+	var ch ClientHello
+	var frag []byte
+	for name, run := range map[string]func() error{
+		"handshake":     func() error { return ParseInto(&ch, msg) },
+		"one record":    func() error { return ParseRecordInto(&ch, one, &frag) },
+		"three records": func() error { return ParseRecordInto(&ch, three, &frag) },
+	} {
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = run() }); n != 0 {
+			t.Errorf("%s: %.1f allocs per parse, want 0", name, n)
+		}
+	}
+	truncated := three[:len(three)-10]
+	if n := testing.AllocsPerRun(100, func() { _ = ParseRecordInto(&ch, truncated, &frag) }); n != 0 {
+		t.Errorf("truncated: %.1f allocs per rejection, want 0", n)
+	}
+}

@@ -2,6 +2,7 @@ package tlsproto_test
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"videoplat/internal/fingerprint"
@@ -73,12 +74,38 @@ func exercise(ch *tlsproto.ClientHello) {
 	ch.HasExtension(tlsproto.ExtEncryptedClientHello)
 }
 
+// dirtyHello returns a ClientHello that has held a full hello, so parsing
+// into it exercises the reuse of every list.
+func dirtyHello(tb testing.TB, seed []byte) *tlsproto.ClientHello {
+	tb.Helper()
+	var ch tlsproto.ClientHello
+	if err := tlsproto.ParseInto(&ch, seed); err != nil {
+		tb.Fatalf("seed hello: %v", err)
+	}
+	return &ch
+}
+
+// sameParse fails unless a reused parse agrees with a fresh one: both
+// reject, or both accept with identical hellos.
+func sameParse(t *testing.T, reused *tlsproto.ClientHello, reuseErr error, fresh *tlsproto.ClientHello, err error) {
+	t.Helper()
+	if (err == nil) != (reuseErr == nil) {
+		t.Fatalf("fresh parse error %v, reused parse error %v", err, reuseErr)
+	}
+	if err == nil && !reflect.DeepEqual(reused, fresh) {
+		t.Fatalf("reused parse differs from a fresh one:\n got %+v\nwant %+v", *reused, *fresh)
+	}
+}
+
 func FuzzParse(f *testing.F) {
-	for _, msg := range corpusHellos(f) {
+	corpus := corpusHellos(f)
+	for _, msg := range corpus {
 		f.Add(msg)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ch, err := tlsproto.Parse(data)
+		scratch := dirtyHello(t, corpus[0])
+		sameParse(t, scratch, tlsproto.ParseInto(scratch, data), ch, err)
 		if err != nil {
 			return
 		}
@@ -92,12 +119,16 @@ func FuzzParse(f *testing.F) {
 }
 
 func FuzzParseRecord(f *testing.F) {
-	for _, msg := range corpusHellos(f) {
+	corpus := corpusHellos(f)
+	for _, msg := range corpus {
 		rec := append([]byte{0x16, 0x03, 0x01, byte(len(msg) >> 8), byte(len(msg))}, msg...)
 		f.Add(rec)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ch, err := tlsproto.ParseRecord(data)
+		scratch := dirtyHello(t, corpus[0])
+		frag := append([]byte(nil), corpus[0]...) // a reassembly buffer holding stale bytes
+		sameParse(t, scratch, tlsproto.ParseRecordInto(scratch, data, &frag), ch, err)
 		if err != nil {
 			return
 		}
