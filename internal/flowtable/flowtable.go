@@ -81,6 +81,9 @@ type Table[V any] struct {
 
 	entries    map[packet.FlowKey]*entry[V]
 	head, tail *entry[V]
+	// free holds evicted and deleted entries for Put to reuse, so a table
+	// in steady state (one flow out per flow in) allocates no entries.
+	free []*entry[V]
 
 	active      atomic.Uint64
 	inserted    atomic.Uint64
@@ -168,7 +171,8 @@ func (t *Table[V]) Put(key packet.FlowKey, value V, ts time.Time) {
 			t.evict(t.tail, ReasonCap)
 		}
 	}
-	e := &entry[V]{key: key, value: value, lastSeen: ts}
+	e := t.newEntry()
+	e.key, e.value, e.lastSeen = key, value, ts
 	t.entries[key] = e
 	t.pushFront(e)
 	t.inserted.Add(1)
@@ -202,6 +206,7 @@ func (t *Table[V]) Delete(key packet.FlowKey) bool {
 	t.unlink(e)
 	delete(t.entries, key)
 	t.active.Store(uint64(len(t.entries)))
+	t.recycle(e)
 	return true
 }
 
@@ -234,6 +239,34 @@ func (t *Table[V]) evict(e *entry[V], reason Reason) {
 	if t.onEvict != nil {
 		t.onEvict(e.key, e.value, reason)
 	}
+	t.recycle(e)
+}
+
+// maxFreeEntries caps the entry free list at one ingest batch of flows;
+// entries released past it are left to the collector.
+const maxFreeEntries = 64
+
+// newEntry returns a zeroed entry, reusing a recycled one when available.
+func (t *Table[V]) newEntry() *entry[V] {
+	n := len(t.free)
+	if n == 0 {
+		return new(entry[V])
+	}
+	e := t.free[n-1]
+	t.free[n-1] = nil
+	t.free = t.free[:n-1]
+	return e
+}
+
+// recycle clears an entry that has left the table (its key, value and LRU
+// links, so it pins nothing) and keeps it for the next Put. Called only
+// once the eviction hook has returned.
+func (t *Table[V]) recycle(e *entry[V]) {
+	if len(t.free) >= maxFreeEntries {
+		return
+	}
+	*e = entry[V]{}
+	t.free = append(t.free, e)
 }
 
 func (t *Table[V]) pushFront(e *entry[V]) {

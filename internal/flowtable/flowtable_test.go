@@ -150,3 +150,71 @@ func TestPutExistingOverwritesAndTouches(t *testing.T) {
 		t.Error("stale flow survived")
 	}
 }
+
+// TestReusedEntryCarriesNothing pins entry recycling: an entry that left the
+// table (evicted or deleted) is cleared before it is kept for reuse, so the
+// flow that next takes it inherits no key, value or LRU links from its last
+// life, and the old value is no longer reachable through the table.
+func TestReusedEntryCarriesNothing(t *testing.T) {
+	v1, v2, v3, v9 := new(int), new(int), new(int), new(int)
+	var evictedKey packet.FlowKey
+	var evictedVal *int
+	tb := New[*int](Config{IdleTimeout: time.Minute}, func(k packet.FlowKey, v *int, _ Reason) {
+		evictedKey, evictedVal = k, v
+	})
+	tb.Put(key(1), v1, t0)
+	tb.Put(key(2), v2, t0.Add(10*time.Second))
+	tb.Put(key(3), v3, t0.Add(20*time.Second))
+
+	// Only flow 1 has been idle for the full minute.
+	if n := tb.ExpireIdle(t0.Add(65 * time.Second)); n != 1 {
+		t.Fatalf("expired %d flows, want 1", n)
+	}
+	if evictedKey != key(1) || evictedVal != v1 {
+		t.Fatalf("hook saw %v/%p, want flow 1's key and value", evictedKey, evictedVal)
+	}
+	if len(tb.free) != 1 {
+		t.Fatalf("free list holds %d entries, want 1", len(tb.free))
+	}
+	old := tb.free[0]
+	if *old != (entry[*int]{}) {
+		t.Fatalf("recycled entry not cleared: %+v", *old)
+	}
+
+	tb.Put(key(9), v9, t0.Add(70*time.Second))
+	e := tb.entries[key(9)]
+	if e != old {
+		t.Fatal("Put allocated a new entry instead of reusing the recycled one")
+	}
+	if e.key != key(9) || e.value != v9 || !e.lastSeen.Equal(t0.Add(70*time.Second)) {
+		t.Errorf("reused entry = key %v value %p lastSeen %v, want flow 9's", e.key, e.value, e.lastSeen)
+	}
+	if e.prev != nil || e.next != tb.entries[key(3)] || tb.head != e {
+		t.Error("reused entry's LRU links are not those of a fresh head")
+	}
+	var order []packet.FlowKey
+	tb.Range(func(k packet.FlowKey, v *int) bool {
+		if v == v1 {
+			t.Errorf("evicted value still reachable under %v", k)
+		}
+		order = append(order, k)
+		return true
+	})
+	if len(order) != 3 || order[0] != key(9) || order[1] != key(3) || order[2] != key(2) {
+		t.Errorf("LRU order = %v, want 9, 3, 2", order)
+	}
+	if tb.tail != tb.entries[key(2)] || tb.tail.next != nil {
+		t.Error("tail is not flow 2")
+	}
+
+	// Delete recycles too, with the same clearing.
+	if !tb.Delete(key(3)) {
+		t.Fatal("flow 3 missing")
+	}
+	if len(tb.free) != 1 || *tb.free[0] != (entry[*int]{}) {
+		t.Fatalf("deleted entry not recycled cleared: %d free", len(tb.free))
+	}
+	if tb.entries[key(9)].next != tb.entries[key(2)] || tb.entries[key(2)].prev != tb.entries[key(9)] {
+		t.Error("deleting flow 3 did not relink 9 and 2")
+	}
+}

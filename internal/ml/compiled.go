@@ -14,9 +14,10 @@ import (
 //
 // Leaves are self-loops: thresh is NaN (every `x <= NaN` is false) and right
 // is the leaf's own id, so a walk that reaches a leaf parks there harmlessly.
-// That lets the evaluators run a fixed number of branchless steps (the tree's
-// compiled depth) instead of testing for leaf arrival on every level — the
-// test would be an unpredictable branch precisely where walks diverge.
+// That lets the evaluators run a fixed number of steps (the tree's compiled
+// depth) instead of testing for leaf arrival on every level — that test
+// would be a second unpredictable branch, beside the split compare,
+// precisely where walks diverge.
 type cnode struct {
 	// feat is the split feature for internal nodes; 0 for leaves (a safe
 	// dummy load — the NaN compare discards it).
@@ -45,7 +46,7 @@ type cnode struct {
 type CompiledForest struct {
 	// nodes holds every tree's records back-to-back; roots[t] is tree t's
 	// root id and depths[t] its edge depth (walks run exactly depths[t]
-	// branchless steps; shallower paths park on their leaf's self-loop).
+	// steps; shallower paths park on their leaf's self-loop).
 	// Within a tree the layout is preorder (parent, then the whole left
 	// subtree, then the right), so a walk moves forward through memory.
 	nodes  []cnode
@@ -277,10 +278,10 @@ func (cf *CompiledForest) Bytes() int64 {
 }
 
 // leafOf walks one tree for one row and returns the reached leaf's node id.
-// The split select is branchless (CMOV — a split's direction is
-// data-dependent and near 50/50, so a conditional jump there would
-// mispredict on ~half the levels); the only branch is the exit test, which
-// fires once per walk when the node steps onto a leaf's self-loop.
+// The split select is a compare and a conditional jump (go1.24 emits
+// UCOMISD + JCS for it, not CMOV); a split's direction is data-dependent,
+// so that jump mispredicts often. The only other branch is the exit test,
+// which fires once per walk when the node steps onto a leaf's self-loop.
 //
 //vp:hotpath
 func (cf *CompiledForest) leafOf(nodes []cnode, root int32, x []float64) int32 {
@@ -355,10 +356,10 @@ func (cf *CompiledForest) PredictInto(x []float64, proba *[]float64) (int, float
 // PredictBatchInto evaluates n = len(rows)/stride flows in one call: row r's
 // feature vector is rows[r*stride : r*stride+stride], and its averaged class
 // distribution lands in the returned buffer at [r*NumClasses() :
-// (r+1)*NumClasses()]. Trees are the outer loop, so each tree's packed nodes
-// stay cache-resident while every row traverses them — the batch-over-arena
-// shape that makes one call classify a whole ingest batch. Each row's
-// accumulation still happens in tree order, so per-row results are
+// (r+1)*NumClasses()]. Rows are the outer loop: each row descends the
+// forest a chunk of trees at a time in interleaved lanes, so its feature
+// vector stays L1-hot while many independent node-load chains overlap. Each
+// row's accumulation still happens in tree order, so per-row results are
 // byte-identical to PredictProbaInto. out is reused via its capacity.
 // Zero-allocation with a warm buffer, pinned by TestCompiledForestZeroAlloc.
 //
@@ -392,11 +393,12 @@ func (cf *CompiledForest) PredictBatchInto(rows []float64, stride int, out []flo
 	// together give the CPU that many independent chains to overlap, while
 	// every chain reads the same feature row, which stays L1-hot for the
 	// whole forest. The inner loop carries no leaf-arrival test — a lane
-	// that bottoms out early parks on its leaf's self-loop, so there is no
-	// unpredictable branch exactly where walks diverge. Instead, trees walk
-	// in the compile-time depth-sorted order (evalOrder): the lanes finished
-	// by step d are always a prefix of the chunk, and advancing lo excludes
-	// them, so no step is spent spinning a finished tree on its self-loop.
+	// that bottoms out early parks on its leaf's self-loop, so no
+	// leaf-arrival branch sits exactly where walks diverge. Instead, trees
+	// walk in the compile-time depth-sorted order (evalOrder): the lanes
+	// finished by step d are always a prefix of the chunk, and advancing lo
+	// excludes them, so no step is spent spinning a finished tree on its
+	// self-loop.
 	// The accumulate pass reads leaves back in original tree order through
 	// pos, so per-row results stay byte-identical to PredictProbaInto.
 	if len(nodes) == 0 {

@@ -418,8 +418,9 @@ func (b *Bank) ClassifyHandshake(prov fingerprint.Provider, tr fingerprint.Trans
 // ClassifyBatch classifies every handshake of one (provider, transport) in a
 // single pass — the batch spine of the compiled serving path. All flows are
 // encoded back-to-back into sc's row matrix, then each objective's compiled
-// forest sweeps the whole matrix with trees as the outer loop, so a tree's
-// flat nodes stay cache-resident while every row traverses them.
+// forest sweeps the whole matrix row by row, each row descending a chunk of
+// trees at a time in interleaved lanes (see
+// ml.CompiledForest.PredictBatchInto).
 // Per-flow predictions are byte-identical to ClassifyHandshake (pinned by the
 // golden-equivalence tests). out must have len(infos) capacity-visible slots
 // (out[i] receives infos[i]'s prediction). Entries without a full compiled

@@ -28,9 +28,19 @@
 // Pipeline.releaseAsm returns it once the flow's classification — and the
 // Config.OnClassify hook, whose HandshakeInfo aliases it — is over. Code
 // that keeps a Hello, transport parameters or HandshakeInfo past that
-// point must copy it. Frames with no TCP/UDP 5-tuple are dropped at ingest
-// (counted in Sharded.Ignored); queue depths and the best-effort results
-// buffer are Config knobs with shard-count-scaled defaults.
+// point must copy it. Flow state and flow-table entries are recycled in
+// the same way, at eviction: once the eviction hook has finished a flow —
+// its CIDs unregistered, its span finished, its handshake buffer released,
+// any pending batch classification done — and Config.OnEvict has returned,
+// its state and table entry are cleared and kept (at most one batch of
+// each) for the next new flow. OnEvict still receives a copy of the record
+// that the hook owns and may keep; nothing else may keep a *flowState past
+// its eviction. On a warm pipeline a TCP flow's whole life, first frame to
+// eviction, allocates only the values callers own: the SNI string, the
+// classification record and the OnEvict copy (pinned by
+// TestFlowLifecycleAllocs). Frames with no TCP/UDP 5-tuple are dropped at
+// ingest (counted in Sharded.Ignored); queue depths and the best-effort
+// results buffer are Config knobs with shard-count-scaled defaults.
 //
 // # Zero-allocation classification fast path
 //

@@ -194,8 +194,10 @@ type Config struct {
 	IdleTimeout time.Duration
 	// OnEvict, if non-nil, receives a copy of each evicted flow's final
 	// record — identical to what Flows() would have reported — so evicted
-	// telemetry can reach a sink instead of vanishing. Called synchronously
-	// from HandlePacket (for Sharded, from the owning shard's goroutine).
+	// telemetry can reach a sink instead of vanishing. The copy is the
+	// hook's to keep; the flow's own state is recycled once the hook
+	// returns. Called synchronously from HandlePacket (for Sharded, from the
+	// owning shard's goroutine).
 	OnEvict func(rec *FlowRecord, reason flowtable.Reason)
 	// MaxHelloBytes caps the client handshake bytes buffered per flow while
 	// waiting for a complete ClientHello. A flow whose buffered bytes
@@ -248,9 +250,10 @@ type Config struct {
 	// batched, set by NewShardedWithConfig, defers each completed
 	// handshake's classification to the end of its ingest batch so one
 	// Bank.ClassifyBatch call sweeps every completed flow of the batch
-	// through the compiled forests (trees outer, rows inner — see
-	// ml.CompiledForest.PredictBatchInto). The shard worker calls flushBatch
-	// after replaying each batch's frames, before the batch arena recycles.
+	// through the compiled forests (rows outer, trees in interleaved lanes
+	// inner — see ml.CompiledForest.PredictBatchInto). The shard worker
+	// calls flushBatch after replaying each batch's frames, before the
+	// batch arena recycles.
 	batched bool
 }
 
@@ -354,6 +357,9 @@ type Pipeline struct {
 	// evictedRecs holds the records of deferred flows classified at
 	// eviction (classifyEvicted), delivered with the batch's flush.
 	evictedRecs []*FlowRecord
+	// freeStates holds evicted flows' states for reuse by new flows
+	// (newFlowState, recycleState). Owned by the handleKeyed goroutine.
+	freeStates []*flowState
 
 	// Stats counters.
 	Packets, VideoPackets, ClassifiedFlows, UnknownFlows int
@@ -390,8 +396,52 @@ func NewWithConfig(bank *Bank, cfg Config) *Pipeline {
 				rec := st.rec
 				cfg.OnEvict(&rec, reason)
 			}
+			p.recycleState(st)
 		})
 	return p
+}
+
+// maxFreeStates caps the flow-state free list at one ingest batch of flows.
+// States released past it are left to the collector, so a burst of
+// evictions cannot pin memory after it passes.
+const maxFreeStates = 64
+
+// newFlowState returns a cleared flow state for a flow first seen at ts on
+// key, reusing an evicted flow's state when the free list has one. Pinned
+// by TestFlowLifecycleAllocs.
+//
+//vp:hotpath
+func (p *Pipeline) newFlowState(key packet.FlowKey, ts time.Time) *flowState {
+	var st *flowState
+	if n := len(p.freeStates); n > 0 {
+		st = p.freeStates[n-1]
+		p.freeStates[n-1] = nil
+		p.freeStates = p.freeStates[:n-1]
+	} else {
+		st = new(flowState) //vp:allocok free list empty: at most one state per live flow, then recycled at eviction
+	}
+	st.clientKey = key
+	st.rec.Key = key
+	st.rec.FirstSeen = ts
+	st.asm.init()
+	return st
+}
+
+// recycleState clears an evicted flow's state and keeps it for the next new
+// flow. The eviction hook calls it last, once nothing points at the state:
+// the flow has left the table, its CIDs are unregistered, its span is
+// finished, its handshake buffer is released, a pending batch
+// classification has been taken out of its group, and Config.OnEvict has
+// returned with its own copy of the record. The cids slice keeps its
+// capacity. Pinned by TestFlowLifecycleAllocs.
+//
+//vp:hotpath
+func (p *Pipeline) recycleState(st *flowState) {
+	if len(p.freeStates) >= maxFreeStates {
+		return
+	}
+	*st = flowState{cids: st.cids[:0]}
+	p.freeStates = append(p.freeStates, st)
 }
 
 // finishSpan completes a sampled flow's span with its terminal verdict and
@@ -472,10 +522,7 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.Flo
 		st, ok = p.migrateFlow(key, canon, frame, payloadLen, ts)
 	}
 	if !ok {
-		st = &flowState{clientKey: key}
-		st.rec.Key = key
-		st.rec.FirstSeen = ts
-		st.asm.init()
+		st = p.newFlowState(key, ts)
 		if p.cfg.Tracer != nil {
 			if sp := p.cfg.Tracer.Admit(); sp != nil {
 				sp.Flow = canon.String()
@@ -870,7 +917,7 @@ func (p *Pipeline) unregisterCIDs(st *flowState) {
 	for _, ck := range st.cids {
 		delete(p.cids, ck)
 	}
-	st.cids = nil
+	st.cids = st.cids[:0]
 }
 
 // Migrations reports flows re-keyed onto a new 5-tuple by connection

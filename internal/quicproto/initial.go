@@ -281,7 +281,16 @@ func (o *InitialOpener) assembleCrypto(p *Initial, buf *[]byte) error {
 			return malformedError("frame type")
 		}
 		switch {
-		case ft == framePadding, ft == framePing:
+		case ft == framePadding:
+			// A client pads its Initial to 1,200 bytes, so the frames
+			// usually end in a long run of PADDING: each 0x00 byte is one
+			// frame, and the whole run is skipped in a single scan.
+			end := r.Offset()
+			for end < len(frames) && frames[end] == framePadding {
+				end++
+			}
+			_ = r.Skip(end - r.Offset()) // in bounds: end <= len(frames)
+		case ft == framePing:
 			// no body
 		case ft == frameACK || ft == frameACK+1:
 			if err := skipACK(r, ft); err != nil {

@@ -156,7 +156,7 @@ func (s *Server) sealHealthEvents() {
 			"total", strconv.FormatUint(errs, 10))
 		s.lastSinkErrs = errs
 	}
-	if comp := s.store.Stats().Compactions; comp > s.lastCompactions {
+	if comp := s.store.Compactions(); comp > s.lastCompactions {
 		s.journal.Record(obs.EventStoreCompaction, "telemetry store compacted windows into coarser tiers",
 			"buckets", strconv.FormatUint(comp-s.lastCompactions, 10),
 			"total", strconv.FormatUint(comp, 10))

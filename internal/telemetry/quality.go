@@ -1,6 +1,11 @@
 package telemetry
 
-import "videoplat/internal/pipeline"
+import (
+	"encoding/json"
+	"fmt"
+
+	"videoplat/internal/pipeline"
+)
 
 // NumConfidenceBuckets is the confidence histogram resolution: the [0, 1]
 // probability range split into equal-width buckets of 1/NumConfidenceBuckets.
@@ -13,14 +18,58 @@ const NumConfidenceBuckets = 20
 
 // ConfidenceHist is a mergeable histogram over [0, 1] probability values
 // (prediction confidences and margins). The zero value is ready to use.
-// Buckets is sparse: bucket i counts observations in
-// (i/NumConfidenceBuckets, (i+1)/NumConfidenceBuckets], with 0.0 landing in
-// bucket 0. Not safe for concurrent use — windows are mutated under the
-// rollup lock and immutable once sealed.
+// Bucket i counts observations in (i/NumConfidenceBuckets,
+// (i+1)/NumConfidenceBuckets], with 0.0 landing in bucket 0. The buckets
+// are a fixed array, so observing, merging and cloning allocate no bucket
+// storage; the JSON form stays sparse (see MarshalJSON). Not safe for
+// concurrent use — windows are mutated under the rollup lock and immutable
+// once sealed.
 type ConfidenceHist struct {
+	Count   uint64
+	Sum     float64
+	Buckets [NumConfidenceBuckets]uint64
+}
+
+// confHistJSON is ConfidenceHist's wire form: only nonzero buckets, keyed
+// by bucket index ("buckets":{"3":5}). encoding/json writes the map's keys
+// in string order, which is the order persisted windows have always used.
+type confHistJSON struct {
 	Count   uint64         `json:"count"`
 	Sum     float64        `json:"sum"`
 	Buckets map[int]uint64 `json:"buckets,omitempty"`
+}
+
+// MarshalJSON writes the sparse wire form, omitting empty buckets.
+func (h ConfidenceHist) MarshalJSON() ([]byte, error) {
+	out := confHistJSON{Count: h.Count, Sum: h.Sum}
+	for b, n := range h.Buckets {
+		if n == 0 {
+			continue
+		}
+		if out.Buckets == nil {
+			out.Buckets = make(map[int]uint64)
+		}
+		out.Buckets[b] = n
+	}
+	return json.Marshal(out)
+}
+
+// UnmarshalJSON reads the sparse wire form. A bucket index outside
+// [0, NumConfidenceBuckets) is an error: no histogram writes one, so the
+// input is corrupt.
+func (h *ConfidenceHist) UnmarshalJSON(data []byte) error {
+	var in confHistJSON
+	if err := json.Unmarshal(data, &in); err != nil {
+		return err
+	}
+	*h = ConfidenceHist{Count: in.Count, Sum: in.Sum}
+	for b, n := range in.Buckets {
+		if b < 0 || b >= NumConfidenceBuckets {
+			return fmt.Errorf("telemetry: confidence bucket %d outside [0, %d)", b, NumConfidenceBuckets)
+		}
+		h.Buckets[b] = n
+	}
+	return nil
 }
 
 // confBucket maps a probability to its bucket index, clamping out-of-domain
@@ -48,9 +97,6 @@ func confBucket(v float64) int {
 func (h *ConfidenceHist) Observe(v float64) {
 	h.Count++
 	h.Sum += v
-	if h.Buckets == nil {
-		h.Buckets = make(map[int]uint64) //vp:allocok lazy one-time init, pinned by TestQualityFoldZeroAlloc
-	}
 	h.Buckets[confBucket(v)]++
 }
 
@@ -61,27 +107,18 @@ func (h *ConfidenceHist) Merge(src *ConfidenceHist) {
 	}
 	h.Count += src.Count
 	h.Sum += src.Sum
-	if h.Buckets == nil {
-		h.Buckets = make(map[int]uint64, len(src.Buckets))
-	}
 	for b, n := range src.Buckets {
 		h.Buckets[b] += n
 	}
 }
 
-// Clone returns an independent deep copy; nil-safe (returns nil).
+// Clone returns an independent copy; nil-safe (returns nil).
 func (h *ConfidenceHist) Clone() *ConfidenceHist {
 	if h == nil {
 		return nil
 	}
-	out := &ConfidenceHist{Count: h.Count, Sum: h.Sum}
-	if h.Buckets != nil {
-		out.Buckets = make(map[int]uint64, len(h.Buckets))
-		for b, n := range h.Buckets {
-			out.Buckets[b] = n
-		}
-	}
-	return out
+	c := *h
+	return &c
 }
 
 // Quantile returns the upper bound of the bucket containing the q-quantile

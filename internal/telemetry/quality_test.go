@@ -337,6 +337,22 @@ func TestQualityFoldZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { c.add(rec) }); allocs != 0 {
 		t.Errorf("cell fold allocates %v times per record, want 0", allocs)
 	}
+	// Histogram Merge and Clone, as window merges and Query copies run them:
+	// the buckets are a fixed array, so merging into a cold histogram and
+	// copying one allocate no bucket storage. (Clone's result is not kept
+	// here, so its struct stays on the stack and the count is the buckets'.)
+	src := q.Confidence
+	var count uint64
+	if allocs := testing.AllocsPerRun(100, func() {
+		var dst ConfidenceHist
+		dst.Merge(src)
+		count += dst.Clone().Count
+	}); allocs != 0 {
+		t.Errorf("histogram merge+clone allocates %v times, want 0", allocs)
+	}
+	if count == 0 {
+		t.Error("merged histograms are empty")
+	}
 }
 
 // BenchmarkQualityFold measures the per-flow quality recording cost; CI pins

@@ -273,16 +273,19 @@ func mergeCells(dst, src map[string]*Cell) map[string]*Cell {
 
 // Sink receives sealed windows. WriteWindow may be called from the
 // goroutine driving Rollup.Add; implementations that share state with other
-// goroutines must synchronize internally.
+// goroutines must synchronize internally. A window offered to a sink is
+// immutable from then on: the rollup never touches it again, and no sink
+// may modify it. Any sink may therefore keep the window it is handed
+// without copying it (the Store does).
 type Sink interface {
 	WriteWindow(w *Window) error
 }
 
 // MultiSink fans each sealed window out to every sink in order, e.g. a
 // queryable Store plus a JSONL archive. All sinks are offered every window
-// even when an earlier one fails; the errors are joined. The window pointer
-// is shared across sinks, so sinks that retain windows (the Store) must
-// copy rather than mutate.
+// even when an earlier one fails; the errors are joined. Every sink gets
+// the same immutable window pointer, so any of them may keep it and none
+// may mutate it.
 func MultiSink(sinks ...Sink) Sink { return multiSink(sinks) }
 
 type multiSink []Sink

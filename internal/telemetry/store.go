@@ -48,10 +48,12 @@ type tier struct {
 // implements Sink, so it sits directly behind a Rollup (alone or fanned out
 // with MultiSink alongside a JSONL archive).
 //
-// Every accepted window is deep-copied, folded into each downsampling
-// tier's current bucket, and forwarded to the Persist sink; Query and
-// Windows serve re-aggregated copies, so callers can never observe or
-// corrupt shared state. Store is safe for concurrent use.
+// Every accepted window enters the raw ring as is — a sealed window is
+// immutable, so the store keeps the one it is handed instead of copying it —
+// and is folded into each downsampling tier's current bucket and forwarded
+// to the Persist sink. Query and Windows serve re-aggregated copies, so
+// callers can never observe or corrupt shared state. Store is safe for
+// concurrent use.
 type Store struct {
 	mu    sync.Mutex
 	cfg   StoreConfig
@@ -86,9 +88,11 @@ func NewStore(cfg StoreConfig) *Store {
 	return s
 }
 
-// WriteWindow accepts one sealed window: a deep copy enters the raw ring
-// and every downsampling tier, retention is enforced, and the original is
-// forwarded to the Persist sink. Implements Sink.
+// WriteWindow accepts one sealed window: the window itself enters the raw
+// ring, it is folded into every downsampling tier, retention is enforced,
+// and it is forwarded to the Persist sink. Under the Sink contract nobody
+// mutates w after offering it, so the store keeps it without a copy.
+// Implements Sink.
 func (s *Store) WriteWindow(w *Window) error {
 	s.mu.Lock()
 	s.add(w)
@@ -116,7 +120,7 @@ func (s *Store) add(w *Window) {
 	if w.End.After(s.latest) {
 		s.latest = w.End
 	}
-	s.raw.insert(w.Clone())
+	s.raw.insert(w)
 	for _, t := range s.tiers {
 		t.fold(w)
 	}
@@ -310,6 +314,19 @@ func (s *Store) Stats() StoreStats {
 		st.Tiers = append(st.Tiers, ts)
 	}
 	return st
+}
+
+// Compactions reports how many downsampled buckets have been sealed across
+// all tiers — StoreStats.Compactions without building the per-tier
+// snapshot, for callers that poll it once per sealed window.
+func (s *Store) Compactions() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n uint64
+	for _, t := range s.tiers {
+		n += t.compactions
+	}
+	return n
 }
 
 // Latest returns the newest window End the store has seen (zero before any
