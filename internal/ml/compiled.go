@@ -85,8 +85,8 @@ type CompiledForest struct {
 	realNodes int
 }
 
-// errEmptyForest and errRaggedForest are the CompileForest failure modes;
-// callers treat either as "serve through the reference pointer walk".
+// errEmptyForest and errRaggedForest are the CompileForest failure modes; a
+// bank whose forest fails either way is refused at train or load time.
 var (
 	errEmptyForest  = errors.New("ml: cannot compile an empty forest")
 	errRaggedForest = errors.New("ml: cannot compile a forest with mixed leaf-distribution widths")
@@ -96,7 +96,7 @@ var (
 // fails for ensembles the flat layout cannot represent faithfully — no
 // trees, or leaf distributions of differing widths (impossible for forests
 // trained by Fit, defensive for hand-assembled or corrupted ones) — so
-// callers can fall back to the reference path.
+// callers can refuse such a forest before it serves.
 func CompileForest(f *RandomForest) (*CompiledForest, error) {
 	if f == nil || len(f.trees) == 0 {
 		return nil, errEmptyForest

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sync"
 
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
@@ -34,47 +33,26 @@ func (o Objective) String() string {
 }
 
 // Model is one trained classifier: its fitted encoder, forest and class
-// universe.
+// universe, plus their compiled serving forms, lowered once when the owning
+// bank is indexed (TrainBank, UnmarshalBinary).
 type Model struct {
 	Encoder *features.Encoder
 	Forest  *ml.RandomForest
 	Classes []string
 
-	compileOnce sync.Once
-	compiled    *features.CompiledEncoder
-	forestOnce  sync.Once
-	cforest     *ml.CompiledForest
+	compiled *features.CompiledEncoder
+	cforest  *ml.CompiledForest
 }
 
-// Predict classifies one handshake's field values (the training/experiments
-// representation). The serving path uses Bank.ClassifyHandshake instead.
-func (m *Model) Predict(v *features.FieldValues) (string, float64) {
-	x := m.Encoder.Transform(v)
-	ci, conf := ml.Predict(m.Forest, x)
-	return m.Classes[ci], conf
-}
+// Compiled returns the model's serving-path compiled encoder. The three
+// objective models of one (provider, transport) share it, since their
+// fitted encoders are equivalent. nil for a model whose bank has no
+// complete entry for its (provider, transport).
+func (m *Model) Compiled() *features.CompiledEncoder { return m.compiled }
 
-// Compiled returns the model's serving-path compiled encoder, lowering the
-// fitted encoder on first use. It returns nil when the encoder cannot be
-// compiled (an attribute schema this build does not know), in which case
-// callers fall back to Extract+Transform.
-func (m *Model) Compiled() *features.CompiledEncoder {
-	m.compileOnce.Do(func() {
-		m.compiled, _ = features.Compile(m.Encoder)
-	})
-	return m.compiled
-}
-
-// CompiledForest returns the model's serving-path compiled forest, lowering
-// the fitted ensemble into flat node arrays on first use. It returns nil
-// when the forest cannot be compiled (empty or malformed ensembles), in
-// which case callers fall back to the pointer-walking reference path.
-func (m *Model) CompiledForest() *ml.CompiledForest {
-	m.forestOnce.Do(func() {
-		m.cforest, _ = ml.CompileForest(m.Forest)
-	})
-	return m.cforest
-}
+// CompiledForest returns the model's serving-path compiled forest: the
+// fitted ensemble lowered into flat node arrays.
+func (m *Model) CompiledForest() *ml.CompiledForest { return m.cforest }
 
 // bankKey identifies a model in the bank.
 type bankKey struct {
@@ -96,13 +74,9 @@ type Bank struct {
 	// Empty for ad-hoc banks that never went through a registry.
 	Version string
 
-	// entries is the serving-path index: per (provider, transport), the
-	// three objective models plus — when their fitted encoders are
-	// equivalent, which TrainBank guarantees — one shared compiled encoder
-	// so a flow is encoded once for all three predictions. Built lazily
-	// (the model set is immutable after TrainBank/UnmarshalBinary).
-	entriesOnce sync.Once
-	entries     map[entryKey]*bankEntry
+	// entries is the serving index, built by index once the model set is
+	// final.
+	entries map[entryKey]*bankEntry
 }
 
 type entryKey struct {
@@ -110,55 +84,65 @@ type entryKey struct {
 	Transport fingerprint.Transport
 }
 
+// bankEntry is one (provider, transport)'s serving index entry: the three
+// objective models, the one compiled encoder they share (so a flow is
+// encoded once for all three predictions), and their compiled forests.
+// Every field is non-nil; index refuses a bank it cannot build them for.
 type bankEntry struct {
-	platform, device, agent *Model
-	// shared is the single compiled encoder serving all three objectives,
-	// nil when the per-objective encoders differ (hand-assembled banks) or
-	// cannot be compiled — Classify's Extract+Transform path is the
-	// fallback.
-	shared *features.CompiledEncoder
-	// cplatform/cdevice/cagent are the objectives' compiled serving
-	// forests (flat node arrays); nil when an ensemble did not compile, in
-	// which case prediction falls back to the pointer walk.
+	platform, device, agent    *Model
+	shared                     *features.CompiledEncoder
 	cplatform, cdevice, cagent *ml.CompiledForest
-}
-
-// batchable reports whether this entry carries every compiled serving form
-// the batched classify pass needs: one shared encode pass plus flat-array
-// forests for all three objectives.
-func (e *bankEntry) batchable() bool {
-	return e.shared != nil && e.cplatform != nil && e.cdevice != nil && e.cagent != nil
 }
 
 // entry returns the serving index entry for a (provider, transport), or nil
 // when any objective model is missing.
 func (b *Bank) entry(prov fingerprint.Provider, tr fingerprint.Transport) *bankEntry {
-	b.entriesOnce.Do(func() { //vp:allocok one-time lazy serving-index build under sync.Once
-		b.entries = map[entryKey]*bankEntry{}
-		for key := range b.models {
-			ek := entryKey{key.Provider, key.Transport}
-			if _, done := b.entries[ek]; done {
-				continue
-			}
-			e := &bankEntry{
-				platform: b.models[bankKey{ek.Provider, ek.Transport, PlatformObjective}],
-				device:   b.models[bankKey{ek.Provider, ek.Transport, DeviceObjective}],
-				agent:    b.models[bankKey{ek.Provider, ek.Transport, AgentObjective}],
-			}
-			if e.platform == nil || e.device == nil || e.agent == nil {
-				continue
-			}
-			if e.platform.Encoder.EquivalentTo(e.device.Encoder) &&
-				e.platform.Encoder.EquivalentTo(e.agent.Encoder) {
-				e.shared = e.platform.Compiled()
-			}
-			e.cplatform = e.platform.CompiledForest()
-			e.cdevice = e.device.CompiledForest()
-			e.cagent = e.agent.CompiledForest()
-			b.entries[ek] = e
-		}
-	})
 	return b.entries[entryKey{prov, tr}]
+}
+
+// index lowers every model into its compiled serving form and builds the
+// serving index, one compiled encoder per (provider, transport) shared by
+// its three objective models. It fails, naming the model, when a forest or
+// encoder does not lower or when an objective's encoder is not equivalent
+// to the platform encoder, so a bank the compiled path cannot serve is
+// refused at train or load time. A (provider, transport) missing an
+// objective gets no entry and classifies as "no models". b.entries is set
+// only on success.
+func (b *Bank) index() error {
+	for key, m := range b.models {
+		cf, err := ml.CompileForest(m.Forest)
+		if err != nil {
+			return fmt.Errorf("pipeline: %s/%s/%s forest: %w", key.Provider, key.Transport, key.Objective, err)
+		}
+		m.cforest = cf
+	}
+	entries := map[entryKey]*bankEntry{}
+	for key, m := range b.models {
+		platform := b.Model(key.Provider, key.Transport, PlatformObjective)
+		device := b.Model(key.Provider, key.Transport, DeviceObjective)
+		agent := b.Model(key.Provider, key.Transport, AgentObjective)
+		if platform == nil || device == nil || agent == nil {
+			continue
+		}
+		if !platform.Encoder.EquivalentTo(m.Encoder) {
+			return fmt.Errorf("pipeline: %s/%s/%s encoder is not equivalent to the %s encoder",
+				key.Provider, key.Transport, key.Objective, PlatformObjective)
+		}
+		ek := entryKey{key.Provider, key.Transport}
+		e := entries[ek]
+		if e == nil {
+			ce, err := features.Compile(platform.Encoder)
+			if err != nil {
+				return fmt.Errorf("pipeline: %s/%s/%s encoder: %w", key.Provider, key.Transport, PlatformObjective, err)
+			}
+			e = &bankEntry{platform: platform, device: device, agent: agent, shared: ce,
+				cplatform: platform.cforest, cdevice: device.cforest, cagent: agent.cforest}
+			entries[ek] = e
+		}
+		m.compiled = e.shared
+	}
+	b.entries = entries
+	return nil
 }
 
 // TrainConfig controls bank training.
@@ -215,6 +199,9 @@ func TrainBank(ds *tracegen.Dataset, cfg TrainConfig) (*Bank, error) {
 			b.models[bankKey{prov, tr, obj}] = m
 		}
 	}
+	if err := b.index(); err != nil {
+		return nil, err
+	}
 	return b, nil
 }
 
@@ -259,12 +246,12 @@ func (b *Bank) Model(prov fingerprint.Provider, tr fingerprint.Transport, obj Ob
 // of its models compiled into flat node arrays, their total flattened node
 // count, and the resident bytes those arrays pin. Surfaced through the ops
 // endpoints so operators can see what the compiled fast path costs in
-// memory. Calling it lowers any not-yet-compiled models (cached, so the
-// serving path is unaffected).
+// memory.
 type CompiledFootprint struct {
 	// Models counts the bank's trained models; CompiledModels those whose
-	// forests lowered into the flat serving form (the rest serve through the
-	// pointer-walk fallback).
+	// forests lowered into the flat serving form. A bank built by TrainBank
+	// or UnmarshalBinary compiles every model or is refused, so the two are
+	// equal for any bank that serves.
 	Models         int   `json:"models"`
 	CompiledModels int   `json:"compiled_models"`
 	Nodes          int   `json:"nodes"`
@@ -337,17 +324,18 @@ type Prediction struct {
 // Classify runs the three objectives for a flow and applies the confidence
 // selector: composite first; below threshold, fall back to the individual
 // device/agent models; if none clears the threshold the flow is Unknown.
-// This is the training/experiments entry point over extracted FieldValues;
-// the serving path is ClassifyHandshake.
+// This is the training/experiments entry point over extracted FieldValues,
+// and the reference the compiled serving paths (ClassifyHandshake,
+// ClassifyBatch) are pinned against by the golden-equivalence tests.
 func (b *Bank) Classify(prov fingerprint.Provider, tr fingerprint.Transport, v *features.FieldValues) (Prediction, error) {
 	var p Prediction
 	e := b.entry(prov, tr)
 	if e == nil {
 		return p, fmt.Errorf("pipeline: no models for %s/%s", prov, tr)
 	}
-	p.Platform, p.PlatformConf, p.PlatformMargin = e.platform.predictMargin(v)
-	p.Device, p.DeviceConf = e.device.Predict(v)
-	p.Agent, p.AgentConf = e.agent.Predict(v)
+	p.Platform, p.PlatformConf, p.PlatformMargin = e.platform.predictReference(v)
+	p.Device, p.DeviceConf, _ = e.device.predictReference(v)
+	p.Agent, p.AgentConf, _ = e.agent.predictReference(v)
 	p.applySelector()
 	return p, nil
 }
@@ -382,15 +370,18 @@ func growFloats(s []float64, n int) []float64 {
 	return s
 }
 
-// ClassifyHandshake classifies an assembled handshake directly — the
-// serving-path fast variant of Classify. With a TrainBank-built (or
-// deserialized) bank the three objectives share one compiled encode pass:
-// raw wire values resolve through interned tables into sc's pooled vector,
-// with no FieldValues maps and no string formatting. Predictions are
+// ClassifyHandshake classifies one assembled handshake — the per-row
+// compiled serving path. The three objectives share one compiled encode
+// pass: raw wire values resolve through interned tables into sc's pooled
+// vector, with no FieldValues maps and no string formatting; each
+// objective's compiled forest then walks that one row. Predictions are
 // byte-identical to Classify(prov, tr, features.Extract(info)) — pinned by
-// the golden-equivalence tests. A nil sc allocates temporaries (used by
-// off-path callers like the shadow evaluator). Zero-allocation with a warm
-// scratch, pinned by TestClassifyHandshakeZeroAlloc.
+// the golden-equivalence tests. It serves one-flow callers: degraded
+// attempts on transport-only rows, where it is faster than a one-row
+// ClassifyBatch, evicted deferred flows, and the shadow evaluator. A nil sc
+// allocates temporaries (used by off-path callers like the shadow
+// evaluator). Zero-allocation with a warm scratch, pinned by
+// TestClassifyHandshakeZeroAlloc.
 //
 //vp:hotpath
 func (b *Bank) ClassifyHandshake(prov fingerprint.Provider, tr fingerprint.Transport, info *features.HandshakeInfo, sc *ClassifyScratch) (Prediction, error) {
@@ -399,18 +390,13 @@ func (b *Bank) ClassifyHandshake(prov fingerprint.Provider, tr fingerprint.Trans
 	if e == nil {
 		return p, fmt.Errorf("pipeline: no models for %s/%s", prov, tr) //vp:allocok cold no-models error path
 	}
-	if e.shared == nil {
-		// Encoders differ or did not compile: fall back to the reference
-		// extraction path.
-		return b.Classify(prov, tr, features.Extract(info)) //vp:allocok cold fallback when encoders did not compile
-	}
 	if sc == nil {
 		sc = &ClassifyScratch{} //vp:allocok cold nil-scratch path for off-path callers
 	}
 	sc.vec = e.shared.EncodeInto(sc.vec, info, &sc.enc)
-	p.Platform, p.PlatformConf, p.PlatformMargin = e.platform.predictCompiledMargin(e.cplatform, sc.vec, &sc.proba)
-	p.Device, p.DeviceConf = e.device.predictCompiled(e.cdevice, sc.vec, &sc.proba)
-	p.Agent, p.AgentConf = e.agent.predictCompiled(e.cagent, sc.vec, &sc.proba)
+	p.Platform, p.PlatformConf, p.PlatformMargin = e.platform.predictRow(sc.vec, &sc.proba)
+	p.Device, p.DeviceConf, _ = e.device.predictRow(sc.vec, &sc.proba)
+	p.Agent, p.AgentConf, _ = e.agent.predictRow(sc.vec, &sc.proba)
 	p.applySelector()
 	return p, nil
 }
@@ -423,9 +409,9 @@ func (b *Bank) ClassifyHandshake(prov fingerprint.Provider, tr fingerprint.Trans
 // ml.CompiledForest.PredictBatchInto).
 // Per-flow predictions are byte-identical to ClassifyHandshake (pinned by the
 // golden-equivalence tests). out must have len(infos) capacity-visible slots
-// (out[i] receives infos[i]'s prediction). Entries without a full compiled
-// serving form fall back to per-flow ClassifyHandshake. Zero-allocation with
-// a warm scratch, pinned by TestClassifyBatchZeroAlloc.
+// (out[i] receives infos[i]'s prediction). The pipeline's deferred full
+// handshakes classify through it. Zero-allocation with a warm scratch,
+// pinned by TestClassifyBatchZeroAlloc.
 //
 //vp:hotpath
 func (b *Bank) ClassifyBatch(prov fingerprint.Provider, tr fingerprint.Transport, infos []*features.HandshakeInfo, sc *ClassifyScratch, out []Prediction) error {
@@ -438,18 +424,6 @@ func (b *Bank) ClassifyBatch(prov fingerprint.Provider, tr fingerprint.Transport
 	}
 	if sc == nil {
 		sc = &ClassifyScratch{} //vp:allocok cold nil-scratch path for off-path callers
-	}
-	if !e.batchable() {
-		// Missing a compiled encoder or forest: serve each flow through the
-		// per-flow path, which applies its own fallbacks.
-		for i, info := range infos {
-			p, err := b.ClassifyHandshake(prov, tr, info, sc)
-			if err != nil {
-				return err
-			}
-			out[i] = p
-		}
-		return nil
 	}
 	stride := e.shared.Width()
 	sc.rows = growFloats(sc.rows, len(infos)*stride)
@@ -511,49 +485,21 @@ func argmaxProba(proba []float64) (int, float64) {
 	return best, bestP
 }
 
-// predictCompiled predicts over an already-encoded vector through the
-// compiled forest, falling back to the pointer walk when the ensemble did
-// not compile. Both paths are byte-identical.
+// predictRow runs the model's compiled forest over one encoded row: the
+// winning class, its probability, and the top-1/top-2 margin read from the
+// probability vector the forest already filled.
 //
 //vp:hotpath
-func (m *Model) predictCompiled(cf *ml.CompiledForest, x []float64, proba *[]float64) (string, float64) {
-	if cf == nil {
-		return m.predictInto(x, proba) //vp:allocok cold fallback when forest did not compile
-	}
-	ci, conf := cf.PredictInto(x, proba)
-	return m.Classes[ci], conf
-}
-
-// predictCompiledMargin is predictCompiled plus the top-1/top-2 margin.
-//
-//vp:hotpath
-func (m *Model) predictCompiledMargin(cf *ml.CompiledForest, x []float64, proba *[]float64) (string, float64, float64) {
-	if cf == nil {
-		return m.predictIntoMargin(x, proba) //vp:allocok cold fallback when forest did not compile
-	}
-	ci, conf := cf.PredictInto(x, proba)
+func (m *Model) predictRow(x []float64, proba *[]float64) (string, float64, float64) {
+	ci, conf := m.cforest.PredictInto(x, proba)
 	return m.Classes[ci], conf, probaMargin(*proba, ci, conf)
 }
 
-// predictInto is Predict over an already-encoded vector with caller-owned
-// probability scratch.
-func (m *Model) predictInto(x []float64, proba *[]float64) (string, float64) {
-	ci, conf := m.Forest.PredictInto(x, proba)
-	return m.Classes[ci], conf
-}
-
-// predictIntoMargin is predictInto plus the top-1/top-2 probability margin,
-// read from the probability vector the forest already filled — no extra
-// inference pass and no allocations.
-func (m *Model) predictIntoMargin(x []float64, proba *[]float64) (string, float64, float64) {
-	ci, conf := m.Forest.PredictInto(x, proba)
-	return m.Classes[ci], conf, probaMargin(*proba, ci, conf)
-}
-
-// predictMargin is the reference-path twin of predictIntoMargin, used by
-// Classify so both classification paths compute the margin from the same
-// PredictProbaInto output and stay bitwise identical (golden equivalence).
-func (m *Model) predictMargin(v *features.FieldValues) (string, float64, float64) {
+// predictReference is predictRow's reference twin behind Classify:
+// Encoder.Transform over field values, then the pointer-walking forest.
+// Both compute the margin from the same probability vector, so the two
+// paths stay bitwise identical (golden equivalence).
+func (m *Model) predictReference(v *features.FieldValues) (string, float64, float64) {
 	x := m.Encoder.Transform(v)
 	var proba []float64
 	ci, conf := m.Forest.PredictInto(x, &proba)
@@ -577,7 +523,7 @@ func probaMargin(proba []float64, best int, conf float64) float64 {
 }
 
 // applySelector applies the §4.1 confidence selector to raw per-objective
-// predictions, shared by Classify and ClassifyHandshake.
+// predictions, shared by Classify, ClassifyHandshake and ClassifyBatch.
 func (p *Prediction) applySelector() {
 	switch {
 	case p.PlatformConf >= ConfidenceThreshold:

@@ -1,11 +1,15 @@
 package pipeline
 
 import (
+	"fmt"
+	"maps"
 	"reflect"
+	"strings"
 	"testing"
 
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
+	"videoplat/internal/ml"
 	"videoplat/internal/tracegen"
 )
 
@@ -122,7 +126,7 @@ func checkBatchEquivalence(t *testing.T, bank *Bank, flows []*tracegen.FlowTrace
 		g.want = append(g.want, want)
 	}
 	for k, g := range groups {
-		if e := bank.entry(k.Provider, k.Transport); e == nil || !e.batchable() {
+		if e := bank.entry(k.Provider, k.Transport); e == nil || e.shared == nil || e.cplatform == nil || e.cdevice == nil || e.cagent == nil {
 			t.Fatalf("%s: %s/%s entry is not batchable", tag, k.Provider, k.Transport)
 		}
 		out := make([]Prediction, len(g.infos))
@@ -247,7 +251,7 @@ func TestBankReloadRebuildsCompiledForests(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := b.entry(fingerprint.YouTube, fingerprint.TCP)
-	if old == nil || !old.batchable() {
+	if old == nil || old.shared == nil || old.cplatform == nil || old.cdevice == nil || old.cagent == nil {
 		t.Fatal("pre-reload entry did not compile")
 	}
 	oldModel := b.Model(fingerprint.YouTube, fingerprint.TCP, PlatformObjective)
@@ -255,7 +259,7 @@ func TestBankReloadRebuildsCompiledForests(t *testing.T) {
 		t.Fatal(err) // in-place reload: new *Model instances
 	}
 	e := b.entry(fingerprint.YouTube, fingerprint.TCP)
-	if e == nil || !e.batchable() {
+	if e == nil || e.shared == nil || e.cplatform == nil || e.cdevice == nil || e.cagent == nil {
 		t.Fatal("post-reload entry did not compile")
 	}
 	m := b.Model(fingerprint.YouTube, fingerprint.TCP, PlatformObjective)
@@ -271,6 +275,83 @@ func TestBankReloadRebuildsCompiledForests(t *testing.T) {
 	fp := b.CompiledFootprint()
 	if fp.CompiledModels != fp.Models || fp.Nodes == 0 || fp.Bytes == 0 {
 		t.Errorf("post-reload footprint looks wrong: %+v", fp)
+	}
+}
+
+// TestUnmarshalRejectsUncompilableBank pins that a bank the compiled serving
+// path cannot serve is refused at load, with an error naming the offending
+// model: one with an empty forest, and one whose device encoder was fitted
+// on a different attribute subset from its platform encoder. A refused
+// in-place reload must leave the receiver classifying with its previous
+// models.
+func TestUnmarshalRejectsUncompilableBank(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a bank")
+	}
+	bank := goldenBank(t)
+	key := bankKey{fingerprint.YouTube, fingerprint.TCP, DeviceObjective}
+	name := fmt.Sprintf("%s/%s/%s", key.Provider, key.Transport, key.Objective)
+	// withDevice serializes bank with the YouTube/TCP device model altered.
+	withDevice := func(alter func(m *Model)) []byte {
+		t.Helper()
+		m := *bank.models[key]
+		alter(&m)
+		models := maps.Clone(bank.models)
+		models[key] = &m
+		blob, err := (&Bank{models: models, Config: bank.Config}).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+
+	ft, err := tracegen.New(7).Flow("windows_chrome", fingerprint.YouTube, fingerprint.TCP, tracegen.FlowSpec{PayloadFrames: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := ExtractTrace(ft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subset, err := features.NewEncoder(false, []string{features.ForTransport(false)[0].Label})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subset.Fit([]*features.FieldValues{features.Extract(info)})
+
+	bad := map[string][]byte{
+		"empty forest":   withDevice(func(m *Model) { m.Forest = &ml.RandomForest{} }),
+		"subset encoder": withDevice(func(m *Model) { m.Encoder = subset }),
+	}
+
+	good, err := bank.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &Bank{}
+	if err := b.UnmarshalBinary(good); err != nil {
+		t.Fatal(err)
+	}
+	before := b.Model(key.Provider, key.Transport, key.Objective)
+	want, err := b.ClassifyHandshake(fingerprint.YouTube, fingerprint.TCP, info, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tc, blob := range bad {
+		err := (&Bank{}).UnmarshalBinary(blob)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: UnmarshalBinary error = %v, want one naming %s", tc, err, name)
+		}
+		if err := b.UnmarshalBinary(blob); err == nil {
+			t.Fatalf("%s: in-place reload accepted", tc)
+		}
+		if b.Model(key.Provider, key.Transport, key.Objective) != before {
+			t.Errorf("%s: refused reload replaced the receiver's models", tc)
+		}
+		got, err := b.ClassifyHandshake(fingerprint.YouTube, fingerprint.TCP, info, nil)
+		if err != nil || got != want {
+			t.Errorf("%s: after refused reload: %+v, %v; want %+v", tc, got, err, want)
+		}
 	}
 }
 
@@ -388,38 +469,16 @@ func benchBankAndFlow(b *testing.B) (*Bank, *features.HandshakeInfo) {
 	return bank, info
 }
 
-// BenchmarkClassifyHandshake measures the per-flow serving path in its three
-// forms: compiled flat-array forests (the production path), the pointer-walk
-// reference (compiled index stripped), and the batched sweep (amortized
-// per-flow cost at batch size 64). All must report 0 allocs/op.
+// BenchmarkClassifyHandshake measures the compiled serving path per flow
+// (the per-row evaluator), as a batched sweep (amortized per-flow cost at
+// batch size 64), and on the transport-only rows of degraded attempts. All
+// must report 0 allocs/op.
 func BenchmarkClassifyHandshake(b *testing.B) {
 	b.Run("compiled", func(b *testing.B) {
 		bank, info := benchBankAndFlow(b)
 		var sc ClassifyScratch
-		// Warm the lazily built entry index, compiled tables and scratch so
-		// the timed region measures the steady state (0 allocs/op).
-		if _, err := bank.ClassifyHandshake(fingerprint.YouTube, fingerprint.QUIC, info, &sc); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := bank.ClassifyHandshake(fingerprint.YouTube, fingerprint.QUIC, info, &sc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("pointer-walk", func(b *testing.B) {
-		bank, info := benchBankAndFlow(b)
-		var sc ClassifyScratch
-		if _, err := bank.ClassifyHandshake(fingerprint.YouTube, fingerprint.QUIC, info, &sc); err != nil {
-			b.Fatal(err)
-		}
-		// Strip the compiled forests so prediction takes the reference
-		// pointer-walk fallback — the pre-compilation baseline.
-		e := bank.entry(fingerprint.YouTube, fingerprint.QUIC)
-		e.cplatform, e.cdevice, e.cagent = nil, nil, nil
+		// Warm the scratch so the timed region measures the steady state
+		// (0 allocs/op).
 		if _, err := bank.ClassifyHandshake(fingerprint.YouTube, fingerprint.QUIC, info, &sc); err != nil {
 			b.Fatal(err)
 		}

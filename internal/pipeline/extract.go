@@ -64,12 +64,16 @@
 //     Config.MaxHelloBytes (oversized flows are abandoned and counted in
 //     OversizedHandshakes).
 //
-//   - Compiled encoding and pooled prediction. Bank.ClassifyHandshake
-//     encodes the assembled handshake once through the models' shared
+//   - Compiled encoding and pooled prediction. A completed handshake is
+//     deferred to the end of its ingest batch (a batch of one for
+//     Pipeline.HandlePacket), where Bank.ClassifyBatch encodes each
+//     deferred flow once through the models' shared
 //     features.CompiledEncoder — raw wire values resolved through interned
-//     tables, no FieldValues maps, no string formatting — and runs the
-//     three objectives' forests through ml's PredictInto over the
-//     pipeline-owned ClassifyScratch. The encode+predict stage performs
+//     tables, no FieldValues maps, no string formatting — and sweeps the
+//     rows through the three objectives' compiled forests over the
+//     pipeline-owned ClassifyScratch. One-flow callers (degraded attempts,
+//     flows evicted before their flush) use Bank.ClassifyHandshake, the
+//     per-row form of the same path. The encode+predict stage performs
 //     zero steady-state allocations, and its output is byte-identical to
 //     the reference Extract+Transform+Classify path (pinned by the
 //     golden-equivalence tests).
@@ -80,9 +84,10 @@
 // construction. The HandshakeInfo passed to Config.OnClassify aliases the
 // flow's handshake buffer and is only valid for the duration of the hook
 // call; the shadow evaluator classifies synchronously within it.
-// Serialized banks carry only encoders and forests — compiled tables and
-// the shared-encoder index rebuild lazily after UnmarshalBinary — so the
-// gob format is unchanged and older banks load into the fast path.
+// Serialized banks carry only encoders and forests. UnmarshalBinary
+// rebuilds the compiled tables and the shared-encoder index at load, and
+// refuses a bank that does not compile, so the gob format is unchanged and
+// older banks load into the compiled path or not at all.
 package pipeline
 
 import (

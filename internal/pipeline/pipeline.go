@@ -153,8 +153,8 @@ type flowState struct {
 	clientKey packet.FlowKey // direction of the initiating packet
 	done      bool           // classification finished (or rejected)
 	// pendingClassify marks a flow whose completed handshake sits in the
-	// batch-mode deferred-classification queue awaiting flushBatch. Cleared
-	// by the flush, or by the eviction hook, which classifies a flow evicted
+	// deferred-classification queue awaiting flushBatch. Cleared by the
+	// flush, or by the eviction hook, which classifies a flow evicted
 	// mid-batch on the spot (classifyEvicted).
 	pendingClassify bool
 	span            *obs.Span // lifecycle trace, non-nil only for sampled flows
@@ -247,14 +247,6 @@ type Config struct {
 	// flow ran and how deep its shard's inbox was at admission.
 	shardID    int
 	queueDepth func() int
-	// batched, set by NewShardedWithConfig, defers each completed
-	// handshake's classification to the end of its ingest batch so one
-	// Bank.ClassifyBatch call sweeps every completed flow of the batch
-	// through the compiled forests (rows outer, trees in interleaved lanes
-	// inner — see ml.CompiledForest.PredictBatchInto). The shard worker
-	// calls flushBatch after replaying each batch's frames, before the
-	// batch arena recycles.
-	batched bool
 }
 
 // DefaultMaxHelloBytes bounds per-flow buffered handshake bytes when
@@ -348,7 +340,7 @@ type Pipeline struct {
 	// for a plain (unsharded) pipeline.
 	batchQueueWait int64
 
-	// pending holds batch mode's deferred classifications, grouped per
+	// pending holds the current batch's deferred classifications, grouped per
 	// (provider, transport) so each group flushes through one
 	// Bank.ClassifyBatch call. Owned by the single goroutine calling
 	// handleKeyed/flushBatch; group capacity is reused across batches so the
@@ -478,13 +470,18 @@ func (p *Pipeline) Bank() *Bank { return p.bank.Load() }
 func (p *Pipeline) SwapBank(bank *Bank) { p.bank.Store(bank) }
 
 // HandlePacket processes one frame. It returns a non-nil FlowRecord exactly
-// when the frame completed a flow's classification.
+// when the frame completed a flow's classification, and the bank's error
+// when classifying the frame's flow failed. The frame is a batch of one: a
+// handshake it completes is deferred like any other and flushed before the
+// call returns.
 func (p *Pipeline) HandlePacket(ts time.Time, frame []byte) (*FlowRecord, error) {
 	if err := p.parser.Parse(frame, &p.parsed); err != nil {
 		p.Packets++
 		return nil, nil // undecodable frames are not errors for the tap
 	}
-	return p.handleParsed(ts, frame, &p.parsed)
+	rec := p.handleParsed(ts, frame, &p.parsed)
+	err := p.flushBatch(func(r *FlowRecord) { rec = r })
+	return rec, err
 }
 
 // handleParsed is HandlePacket after its decode — the parse-once seam: the
@@ -493,11 +490,11 @@ func (p *Pipeline) HandlePacket(ts time.Time, frame []byte) (*FlowRecord, error)
 // of Parser.Parse(frame, parsed); its slices may alias frame. The pipeline
 // copies anything it retains past the call, so the caller may recycle both
 // frame and parsed as soon as it returns.
-func (p *Pipeline) handleParsed(ts time.Time, frame []byte, parsed *packet.Parsed) (*FlowRecord, error) {
+func (p *Pipeline) handleParsed(ts time.Time, frame []byte, parsed *packet.Parsed) *FlowRecord {
 	key, ok := parsed.Flow()
 	if !ok {
 		p.Packets++
-		return nil, nil
+		return nil
 	}
 	return p.handleKeyed(ts, frame, key, key.Canonical(), len(parsed.Payload), parsed)
 }
@@ -510,11 +507,13 @@ func (p *Pipeline) handleParsed(ts time.Time, frame []byte, parsed *packet.Parse
 // parsed, when non-nil, is the caller's decode of frame, letting the
 // assembler skip its own parse; shard workers pass nil (only the summary
 // crosses the queue) and the assembler re-decodes the few client
-// handshake-phase frames it actually consumes.
-func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.FlowKey, payloadLen int, parsed *packet.Parsed) (*FlowRecord, error) {
+// handshake-phase frames it actually consumes. A completed full handshake is
+// deferred to the caller's flushBatch; the record returned here is a
+// degraded (ECH or 0-RTT) classification decided on the spot.
+func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.FlowKey, payloadLen int, parsed *packet.Parsed) *FlowRecord {
 	p.Packets++
 	if !isVideoPort(key) {
-		return nil, nil
+		return nil
 	}
 	p.maybeSweep(ts)
 	st, ok := p.flows.Touch(canon, ts)
@@ -563,14 +562,14 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.Flo
 	}
 
 	if st.done {
-		return nil, nil
+		return nil
 	}
 
 	// Handshake splitter: only client-direction bytes can advance handshake
 	// assembly (the ClientHello rides the client side), so server packets on
 	// a still-unclassified flow cost nothing beyond the telemetry above.
 	if key != st.clientKey {
-		return nil, nil
+		return nil
 	}
 	var asmStart time.Time
 	timed := p.cfg.Observer != nil || st.span != nil
@@ -614,7 +613,7 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.Flo
 		if st.done {
 			p.releaseAsm(st)
 		}
-		return nil, nil
+		return nil
 	}
 	info := st.asm.finish()
 
@@ -636,7 +635,7 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.Flo
 		}
 		p.finishSpan(st, "not-video")
 		p.releaseAsm(st)
-		return nil, nil
+		return nil
 	}
 	p.VideoPackets++
 	st.rec.SNI = sni
@@ -647,35 +646,21 @@ func (p *Pipeline) handleKeyed(ts time.Time, frame []byte, key, canon packet.Flo
 		st.rec.Transport = fingerprint.QUIC
 	}
 
-	if p.cfg.batched {
-		// Batch mode: park the completed handshake until the shard worker
-		// flushes the batch, so one compiled-forest sweep classifies every
-		// completed flow of the batch together. st.asm keeps owning the
-		// handshake buffer (info aliases it) until finishClassification.
-		p.deferClassify(st, prov, info)
-		return nil, nil
-	}
-
-	bank := p.bank.Load() // one load: the whole classification uses one bank
-	var clStart time.Time
-	if timed {
-		clStart = time.Now()
-	}
-	pred, err := bank.ClassifyHandshake(prov, st.rec.Transport, info, &p.scratch)
-	var nanos int64
-	if timed {
-		nanos = int64(time.Since(clStart))
-	}
-	return p.finishClassification(st, info, pred, err, bank, nanos)
+	// Park the completed handshake until the caller flushes the batch, so
+	// one compiled-forest sweep classifies every completed flow of the batch
+	// together. st.asm keeps owning the handshake buffer (info aliases it)
+	// until finishClassification.
+	p.deferClassify(st, prov, info)
+	return nil
 }
 
 // finishClassification applies one flow's classification outcome: latency
 // attribution, verdict accounting, span completion, the OnClassify hook, and
-// the release of the flow's buffered handshake bytes. Shared by the
-// immediate (per-flow) path and flushBatch, so the two modes cannot drift.
-// nanos is the flow's attributed classification time (zero when latency
-// observation is off). Returns the completed record exactly when the flow
-// classified without error.
+// the release of the flow's buffered handshake bytes. Shared by flushBatch
+// and classifyEvicted, so a flow classified at eviction cannot drift from
+// one classified at the flush. nanos is the flow's attributed
+// classification time (zero when latency observation is off). Returns the
+// completed record exactly when the flow classified without error.
 func (p *Pipeline) finishClassification(st *flowState, info *features.HandshakeInfo, pred Prediction, err error, bank *Bank, nanos int64) (*FlowRecord, error) {
 	if nanos > 0 {
 		p.cfg.Observer.Record(obs.StageClassify, time.Duration(nanos))
@@ -784,9 +769,10 @@ func (p *Pipeline) escalateEarly(st *flowState) {
 // abstains into the open-set bucket with the explicit fallback verdict.
 // Config.OnClassify is deliberately not invoked: drift monitors and shadow
 // evaluators compare full-feature classifications, and feeding them
-// partial-feature records would poison both baselines. Runs immediately
-// even in batch mode — degraded flows never join a ClassifyBatch sweep.
-func (p *Pipeline) finishDegraded(st *flowState, info *features.HandshakeInfo, fallback Verdict) (*FlowRecord, error) {
+// partial-feature records would poison both baselines. Runs on the spot —
+// degraded flows never join a ClassifyBatch sweep. Returns the record when
+// the flow was classified.
+func (p *Pipeline) finishDegraded(st *flowState, info *features.HandshakeInfo, fallback Verdict) *FlowRecord {
 	st.done = true
 	st.rec.Transport = fingerprint.TCP
 	if info.QUIC {
@@ -811,13 +797,13 @@ func (p *Pipeline) finishDegraded(st *flowState, info *features.HandshakeInfo, f
 		p.finishSpan(st, best.Device+"/"+best.Agent)
 		out := st.rec
 		p.releaseAsm(st)
-		return &out, nil
+		return &out
 	}
 	st.rec.Verdict = fallback
 	p.UnknownFlows++
 	p.finishSpan(st, fallback.String())
 	p.releaseAsm(st)
-	return nil, nil
+	return nil
 }
 
 // migrateFlow resolves a flow-table miss against the CID index: when the
@@ -942,8 +928,7 @@ type pendingGroup struct {
 
 // deferClassify parks a completed handshake in its (provider, transport)
 // group for the end-of-batch flush. The flow is marked done so later frames
-// of the same batch skip handshake work, exactly as after an immediate
-// classification.
+// of the same batch skip handshake work.
 func (p *Pipeline) deferClassify(st *flowState, prov fingerprint.Provider, info *features.HandshakeInfo) {
 	g := p.pendingFor(prov, st.rec.Transport)
 	g.flows = append(g.flows, st)
@@ -984,22 +969,23 @@ func growPreds(s []Prediction, n int) []Prediction {
 
 // flushBatch classifies every deferred handshake of the just-replayed ingest
 // batch, one Bank.ClassifyBatch sweep per (provider, transport) group, and
-// hands completed records to deliver. Called by the owning shard worker
-// after a batch's frames and before the batch arena recycles (the deferred
+// hands completed records to deliver. Called after a batch's frames: by the
+// owning shard worker before the batch arena recycles (the deferred
 // HandshakeInfos alias flow-owned buffers, not the arena, but flushing per
-// batch keeps deferral latency at one batch). The batch's classify time is
-// attributed evenly across its flows. No-op when nothing was deferred.
-func (p *Pipeline) flushBatch(deliver func(*FlowRecord)) {
+// batch keeps deferral latency at one batch), and by HandlePacket for its
+// batch of one. The batch's classify time is attributed evenly across its
+// flows. Returns the first classification error; the failed flows keep
+// VerdictError. No-op when nothing was deferred.
+func (p *Pipeline) flushBatch(deliver func(*FlowRecord)) error {
 	for i, rec := range p.evictedRecs {
 		p.evictedRecs[i] = nil
-		if deliver != nil {
-			deliver(rec)
-		}
+		deliver(rec)
 	}
 	p.evictedRecs = p.evictedRecs[:0]
 	if len(p.pending) == 0 {
-		return
+		return nil
 	}
+	var first error
 	bank := p.bank.Load() // one load: the whole flush uses one bank
 	timed := p.cfg.Observer != nil || p.cfg.Tracer != nil
 	for gi := range p.pending {
@@ -1018,10 +1004,12 @@ func (p *Pipeline) flushBatch(deliver func(*FlowRecord)) {
 		if timed {
 			per = int64(time.Since(start)) / int64(n)
 		}
+		if err != nil && first == nil {
+			first = err
+		}
 		for i, st := range g.flows {
 			st.pendingClassify = false
-			rec, ferr := p.finishClassification(st, g.infos[i], g.preds[i], err, bank, per)
-			if ferr == nil && rec != nil && deliver != nil {
+			if rec, _ := p.finishClassification(st, g.infos[i], g.preds[i], err, bank, per); rec != nil {
 				deliver(rec)
 			}
 		}
@@ -1033,14 +1021,15 @@ func (p *Pipeline) flushBatch(deliver func(*FlowRecord)) {
 		g.infos = g.infos[:0]
 	}
 	p.pending = p.pending[:0]
+	return first
 }
 
 // classifyEvicted classifies a deferred flow that is evicted before its
 // batch flushes — an idle sweep or a cap eviction triggered by a later
 // frame of the same batch. It classifies the flow alone through the
-// pipeline's bank and scratch, exactly as immediate mode would have, so the
-// flow leaves with immediate mode's verdict instead of pending. Its record
-// is delivered with the batch's flush.
+// pipeline's bank and scratch, so the flow leaves with the verdict the flush
+// would have given it instead of pending. Its record is delivered with the
+// batch's flush.
 func (p *Pipeline) classifyEvicted(st *flowState) {
 	for gi := range p.pending {
 		g := &p.pending[gi]

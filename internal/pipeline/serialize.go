@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sync"
 
 	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
@@ -61,7 +60,10 @@ func (b *Bank) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary restores a bank serialized by MarshalBinary.
+// UnmarshalBinary restores a bank serialized by MarshalBinary and builds its
+// compiled serving index. A bank whose forests or encoders do not compile is
+// refused with an error naming the model, and the receiver keeps its
+// previous models: nothing is assigned to b until the decoded bank indexes.
 func (b *Bank) UnmarshalBinary(data []byte) error {
 	var dto bankDTO
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&dto); err != nil {
@@ -71,13 +73,7 @@ func (b *Bank) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("pipeline: bank format v%d was written by a newer build (this build reads up to v%d)",
 			dto.Format, bankFormat)
 	}
-	b.Version = dto.Version
-	b.Config = dto.Config
-	b.models = map[bankKey]*Model{}
-	// Reset the lazily built serving index: a Bank reloaded in place must
-	// not keep dispatching through entries that point at the old models.
-	b.entriesOnce = sync.Once{}
-	b.entries = nil
+	loaded := Bank{Version: dto.Version, Config: dto.Config, models: map[bankKey]*Model{}}
 	for _, md := range dto.Models {
 		enc := &features.Encoder{}
 		if err := enc.UnmarshalBinary(md.Encoder); err != nil {
@@ -87,11 +83,15 @@ func (b *Bank) UnmarshalBinary(data []byte) error {
 		if err := forest.UnmarshalBinary(md.Forest); err != nil {
 			return err
 		}
-		b.models[bankKey{
+		loaded.models[bankKey{
 			Provider:  fingerprint.Provider(md.Provider),
 			Transport: fingerprint.Transport(md.Transport),
 			Objective: Objective(md.Objective),
 		}] = &Model{Encoder: enc, Forest: forest, Classes: md.Classes}
 	}
+	if err := loaded.index(); err != nil {
+		return err
+	}
+	*b = loaded
 	return nil
 }

@@ -211,10 +211,6 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 		shCfg := cfg
 		shCfg.shardID = i
 		shCfg.queueDepth = func() int { return len(in) }
-		// Shard workers classify in batch mode: completed handshakes are
-		// deferred during frame replay and flushed through one compiled
-		// ClassifyBatch sweep per (provider, transport) at batch end.
-		shCfg.batched = true
 		sh := &shard{in: in, p: NewWithConfig(bank, shCfg)}
 		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
@@ -234,14 +230,15 @@ func NewShardedWithConfig(bank *Bank, n int, cfg Config) *Sharded {
 				b := msg.batch
 				for i := range b.frames {
 					f := &b.frames[i]
-					rec, err := sh.p.handleKeyed(f.ts, b.arena[f.off:f.end], f.key, f.canon, f.payloadLen, nil)
-					if err == nil && rec != nil {
+					if rec := sh.p.handleKeyed(f.ts, b.arena[f.off:f.end], f.key, f.canon, f.payloadLen, nil); rec != nil {
 						s.deliver(rec)
 					}
 				}
 				// Classify the batch's deferred handshakes before the arena
-				// recycles, one compiled sweep per (provider, transport).
-				sh.p.flushBatch(deliver)
+				// recycles, one compiled sweep per (provider, transport). A
+				// classify error stays on each failed flow as VerdictError,
+				// which is how a sharded pipeline reports it.
+				_ = sh.p.flushBatch(deliver)
 				// The pipeline copies anything it retains, so the arena is
 				// dead here and the whole batch recycles in one pool op.
 				s.batchPool.Put(b)

@@ -122,3 +122,42 @@ func TestPipelineAssignsVerdicts(t *testing.T) {
 		}
 	}
 }
+
+// TestClassifyErrorVerdict pins the classify-error path: a YouTube TCP flow
+// whose bank has no models for it surfaces the bank's error exactly once
+// from a plain Pipeline's HandlePacket, and the flow is left with
+// VerdictError both there and in a sharded pipeline.
+func TestClassifyErrorVerdict(t *testing.T) {
+	ft, err := tracegen.New(11).Flow("windows_chrome", fingerprint.YouTube, fingerprint.TCP, tracegen.FlowSpec{PayloadFrames: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank := &Bank{models: map[bankKey]*Model{}}
+
+	p := New(bank)
+	errs := 0
+	for _, fr := range ft.Frames {
+		rec, err := p.HandlePacket(ft.Start.Add(fr.Offset), fr.Data)
+		if rec != nil {
+			t.Errorf("HandlePacket returned a record for an unclassifiable flow: %+v", rec)
+		}
+		if err != nil {
+			errs++
+		}
+	}
+	if errs != 1 {
+		t.Errorf("HandlePacket returned %d errors, want exactly 1", errs)
+	}
+	if flows := p.Flows(); len(flows) != 1 || flows[0].Verdict != VerdictError {
+		t.Errorf("plain pipeline flows = %+v, want one flow with verdict %s", flows, VerdictError)
+	}
+
+	s := NewShardedWithConfig(bank, 2, Config{})
+	defer s.Close()
+	for _, fr := range ft.Frames {
+		s.HandlePacket(ft.Start.Add(fr.Offset), fr.Data)
+	}
+	if flows := s.SnapshotFlows(); len(flows) != 1 || flows[0].Verdict != VerdictError {
+		t.Errorf("sharded flows = %+v, want one flow with verdict %s", flows, VerdictError)
+	}
+}

@@ -69,8 +69,10 @@
 // machine reassembly in O(client bytes), bounded by
 // PipelineConfig.MaxHelloBytes), and classification runs a compiled
 // zero-allocation path — the bank's three objectives share one encode pass
-// over interned raw-wire-value tables (Bank.ClassifyHandshake), writing
-// into per-shard scratch instead of building per-flow maps and strings.
+// over interned raw-wire-value tables (Bank.ClassifyBatch for each ingest
+// batch's completed handshakes, Bank.ClassifyHandshake for one flow),
+// writing into per-shard scratch instead of building per-flow maps and
+// strings.
 // The fast path is byte-identical to the reference extraction path, pinned
 // by golden-equivalence tests.
 //
