@@ -199,12 +199,13 @@ func TestShardedDeliverNeverBlocks(t *testing.T) {
 	}
 }
 
-// TestShardedIdleEvictionOfDeferredFlow pins batch mode to immediate mode
-// when one ingest batch spans more than IdleTimeout of trace time. Flow A's
-// hello completes early in the batch, so its classification is deferred to
-// the batch's flush; a later frame of flow B, minutes on, runs the idle
-// sweep, which evicts A first. A must leave with the record immediate mode
-// gives it — classified, not pending — and reach Results as well.
+// TestShardedIdleEvictionOfDeferredFlow pins a multi-frame ingest batch to
+// Pipeline.HandlePacket (a batch of one, flushed before it returns) when the
+// batch spans more than IdleTimeout of trace time. Flow A's hello completes
+// early in the batch, so its classification is deferred to the batch's
+// flush; a later frame of flow B, minutes on, runs the idle sweep, which
+// evicts A first. A must leave with the record HandlePacket gives it —
+// classified, not pending — and reach Results as well.
 func TestShardedIdleEvictionOfDeferredFlow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a bank")
@@ -238,7 +239,7 @@ func TestShardedIdleEvictionOfDeferredFlow(t *testing.T) {
 	}
 	want, ok := evicted[a.SNI]
 	if !ok || want.Verdict != VerdictClassified {
-		t.Fatalf("immediate mode: flow A evicted %v with verdict %v, want classified", ok, want.Verdict)
+		t.Fatalf("HandlePacket: flow A evicted %v with verdict %v, want classified", ok, want.Verdict)
 	}
 	clear(evicted)
 
@@ -261,6 +262,6 @@ func TestShardedIdleEvictionOfDeferredFlow(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if got := evicted[a.SNI]; got != want {
-		t.Errorf("batch mode evicted flow A as\n %+v\nimmediate mode as\n %+v", got, want)
+		t.Errorf("batch mode evicted flow A as\n %+v\nHandlePacket as\n %+v", got, want)
 	}
 }

@@ -293,22 +293,6 @@ func TestInitialWithTokenAndCoalescedPadding(t *testing.T) {
 	}
 }
 
-func BenchmarkParseInitial(b *testing.B) {
-	in := &Initial{Version: Version1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8},
-		CryptoData: make([]byte, 512)}
-	dg, err := in.Seal(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(len(dg)))
-	for i := 0; i < b.N; i++ {
-		if _, err := ParseInitial(dg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSealInitial(b *testing.B) {
 	in := &Initial{Version: Version1, DCID: []byte{1, 2, 3, 4, 5, 6, 7, 8},
 		CryptoData: make([]byte, 512)}

@@ -22,14 +22,10 @@
 // Beyond the batch workflow, the package exposes the building blocks of the
 // paper's continuous deployment (the always-on tap of §4.3.3):
 //
-//   - NewBoundedPipeline bounds the pipeline's flow table (LRU + idle
-//     eviction with eviction counters) so per-flow state stays flat under
-//     sustained traffic, delivering evicted flows' final telemetry to a
-//     callback instead of dropping it;
-//   - NewRollup / NewJSONLSink maintain tumbling time windows of
-//     per-provider and per-platform watch-time, bandwidth and
-//     classification-rate aggregates, retiring sealed windows to a
-//     pluggable sink;
+//   - the Server's rollup maintains tumbling time windows of per-provider
+//     and per-platform watch-time, bandwidth and classification-rate
+//     aggregates, retiring sealed windows to a pluggable sink (NewJSONLSink
+//     writes them as JSON lines);
 //   - NewTelemetryStore retains sealed windows in a bounded, queryable
 //     in-memory ring — count/age retention, coarser downsampling tiers
 //     compacted by merging window aggregates so long ranges stay cheap,
@@ -37,10 +33,11 @@
 //     time-range queries (since/until/step, grouped by provider, platform
 //     or model version) live instead of via offline JSONL post-processing;
 //   - NewServer assembles it all into a streaming ingest daemon that
-//     replays capture files or synthetic traffic through the sharded
-//     pipeline at a configurable packet rate and serves live operations
-//     endpoints (/stats, /flows, /windows, /query, /events, /healthz,
-//     /readyz, /metrics) with graceful shutdown.
+//     replays capture files or synthetic traffic through a sharded pipeline
+//     with a bounded flow table (LRU + idle eviction, so per-flow state
+//     stays flat under sustained traffic) at a configurable packet rate and
+//     serves live operations endpoints (/stats, /flows, /windows, /query,
+//     /events, /healthz, /readyz, /metrics) with graceful shutdown.
 //
 // The §5.3 concept-drift story is closed by the model lifecycle subsystem,
 // which evolves the classifier bank under live traffic:
@@ -66,13 +63,12 @@
 //
 // The serving spine is built for line rate: ingest parses each frame
 // exactly once, per-flow handshakes are assembled incrementally (state-
-// machine reassembly in O(client bytes), bounded by
-// PipelineConfig.MaxHelloBytes), and classification runs a compiled
-// zero-allocation path — the bank's three objectives share one encode pass
-// over interned raw-wire-value tables (Bank.ClassifyBatch for each ingest
-// batch's completed handshakes, Bank.ClassifyHandshake for one flow),
-// writing into per-shard scratch instead of building per-flow maps and
-// strings.
+// machine reassembly in O(client bytes), bounded per flow), and
+// classification runs a compiled zero-allocation path — the bank's three
+// objectives share one encode pass over interned raw-wire-value tables
+// (Bank.ClassifyBatch for each ingest batch's completed handshakes,
+// Bank.ClassifyHandshake for one flow), writing into per-shard scratch
+// instead of building per-flow maps and strings.
 // The fast path is byte-identical to the reference extraction path, pinned
 // by golden-equivalence tests.
 //
@@ -86,15 +82,10 @@ package videoplat
 
 import (
 	"io"
-	"log/slog"
-	"time"
 
 	"videoplat/internal/drift"
-	"videoplat/internal/features"
 	"videoplat/internal/fingerprint"
-	"videoplat/internal/flowtable"
 	"videoplat/internal/ml"
-	"videoplat/internal/obs"
 	"videoplat/internal/pipeline"
 	"videoplat/internal/registry"
 	"videoplat/internal/server"
@@ -112,53 +103,19 @@ type (
 	Transport = fingerprint.Transport
 	// Dataset is a labeled collection of rendered video-flow traces.
 	Dataset = tracegen.Dataset
-	// FlowTrace is one rendered, labeled video flow.
-	FlowTrace = tracegen.FlowTrace
 	// Bank is the trained classifier bank of Fig 4.
 	Bank = pipeline.Bank
 	// Pipeline is the streaming packet processor.
 	Pipeline = pipeline.Pipeline
 	// FlowRecord is a classified flow with telemetry.
 	FlowRecord = pipeline.FlowRecord
-	// Prediction is a confidence-selected platform prediction.
-	Prediction = pipeline.Prediction
 	// Aggregator accumulates classified flows into §5-style statistics.
 	Aggregator = telemetry.Aggregator
-	// BoxStats is a five-number bandwidth summary.
-	BoxStats = telemetry.BoxStats
 	// ForestConfig holds the random-forest hyperparameters.
 	ForestConfig = ml.ForestConfig
 
-	// PipelineConfig bounds a pipeline's flow table for long-running use,
-	// sizes a sharded pipeline's queues (ShardQueueDepth, ResultsBuffer)
-	// and caps per-flow buffered handshake bytes (MaxHelloBytes).
-	PipelineConfig = pipeline.Config
-	// HandshakeInfo is a flow's assembled handshake state — what
-	// PipelineConfig.OnClassify receives and Bank.ClassifyHandshake
-	// consumes.
-	HandshakeInfo = features.HandshakeInfo
-	// ClassifyScratch holds a worker's reusable classification buffers for
-	// the zero-allocation Bank.ClassifyHandshake fast path.
-	ClassifyScratch = pipeline.ClassifyScratch
-	// ShardedPipeline fans packets across per-shard Pipelines by flow
-	// hash, parsing each frame exactly once at ingest — the multi-queue
-	// deployment shape of the paper's §4.3.3 prototype.
-	ShardedPipeline = pipeline.Sharded
-	// IngestPacket is one timestamped frame for the batched ingest path
-	// (ShardedPipeline.HandlePacketBatch).
-	IngestPacket = pipeline.IngestPacket
-	// IngestStats are the ingest-path counters: frames ignored at ingest,
-	// best-effort results dropped, and backpressure stalls.
-	IngestStats = pipeline.IngestStats
-	// FlowTableStats are a bounded flow table's occupancy/eviction counters.
-	FlowTableStats = flowtable.Stats
-	// Rollup maintains tumbling telemetry windows over finalized flows.
-	Rollup = telemetry.Rollup
 	// RollupWindow is one sealed tumbling window of flow aggregates.
 	RollupWindow = telemetry.Window
-	// RollupCell aggregates one provider's or platform's flows within a
-	// window.
-	RollupCell = telemetry.Cell
 	// RollupSink receives sealed rollup windows.
 	RollupSink = telemetry.Sink
 	// TelemetryStore retains sealed windows in bounded, queryable,
@@ -167,15 +124,10 @@ type (
 	// TelemetryStoreConfig tunes store retention, downsampling tiers and
 	// persistence.
 	TelemetryStoreConfig = telemetry.StoreConfig
-	// TelemetryStoreStats are the store's occupancy/eviction/compaction
-	// counters.
-	TelemetryStoreStats = telemetry.StoreStats
 	// QueryResult is a TelemetryStore.Query response: re-aggregated series
 	// over a time range.
 	QueryResult = telemetry.QueryResult
-	// QuerySeries is one group's series within a QueryResult.
-	QuerySeries = telemetry.QuerySeries
-	// QueryPoint is one re-aggregated time bucket of a QuerySeries.
+	// QueryPoint is one re-aggregated time bucket of a QueryResult series.
 	QueryPoint = telemetry.QueryPoint
 	// Server is the streaming ingest daemon with the operations HTTP API.
 	Server = server.Server
@@ -188,8 +140,6 @@ type (
 	Registry = registry.Registry
 	// RegistryConfig tunes a model registry (directory, retention).
 	RegistryConfig = registry.Config
-	// ModelManifest describes one stored bank version.
-	ModelManifest = registry.Manifest
 	// ModelVersion pairs a loaded bank with its manifest.
 	ModelVersion = registry.Version
 	// ShadowGate is the promotion bar for shadow-evaluated candidates.
@@ -202,56 +152,6 @@ type (
 	DriftMonitor = drift.Monitor
 	// DriftConfig tunes drift detection windows and thresholds.
 	DriftConfig = drift.Config
-
-	// PipelineObserver collects zero-allocation per-stage latency
-	// histograms; attach one via PipelineConfig.Observer and read digests
-	// with StageStats.
-	PipelineObserver = obs.PipelineObserver
-	// StageStats is one stage's latency digest (count, mean, p50/p90/p99,
-	// max).
-	StageStats = obs.StageStats
-	// LatencyHistogram is the underlying wait-free log-linear histogram.
-	LatencyHistogram = obs.Histogram
-	// LatencySummary is a sparse, mergeable, JSON-serializable latency
-	// digest — the form rollup windows carry so downsampled telemetry
-	// reports the same quantiles.
-	LatencySummary = obs.Summary
-	// FlowTracer samples flow lifecycles (1-in-N) into pooled spans;
-	// attach one via PipelineConfig.Tracer.
-	FlowTracer = obs.Tracer
-	// FlowTracerConfig tunes sampling rate and span retention.
-	FlowTracerConfig = obs.TracerConfig
-	// FlowSpan is one sampled flow's lifecycle record: per-stage timings,
-	// shard, queue depth at admission, model version and verdict.
-	FlowSpan = obs.Span
-	// TraceSnapshot is a tracer's state: counters, recent spans and
-	// slowest-flow exemplars (GET /trace).
-	TraceSnapshot = obs.TraceSnapshot
-	// RuntimeStats are Go runtime gauges (goroutines, heap, GC pauses).
-	RuntimeStats = obs.RuntimeStats
-	// BuildInfo identifies the running binary.
-	BuildInfo = obs.BuildInfo
-
-	// Verdict is a flow's decision outcome: how (or why not) the pipeline
-	// classified it. Every finalized FlowRecord carries one.
-	Verdict = pipeline.Verdict
-	// ConfidenceHist is a mergeable fixed-width histogram over [0, 1]
-	// probabilities; quantiles stay exact under any merge order.
-	ConfidenceHist = telemetry.ConfidenceHist
-	// QualitySummary is a rollup window's decision-quality digest: verdict
-	// counts, confidence/margin histograms, drift score and shadow
-	// agreement — every field merges exactly across downsampling.
-	QualitySummary = telemetry.QualitySummary
-	// OpsEventType classifies an ops journal entry (model_promote,
-	// drift_trigger, shadow_verdict, ...).
-	OpsEventType = obs.EventType
-	// OpsEvent is one typed, timestamped ops journal entry.
-	OpsEvent = obs.Event
-	// OpsJournal is a bounded ring of typed ops events with slog mirroring
-	// (GET /events); pass one via ServeConfig.Journal.
-	OpsJournal = obs.Journal
-	// OpsJournalStats summarizes a journal's counters.
-	OpsJournalStats = obs.JournalStats
 )
 
 // Providers.
@@ -272,43 +172,11 @@ const (
 const (
 	Composite = pipeline.Composite
 	Partial   = pipeline.Partial
-	Unknown   = pipeline.Unknown
 )
 
-// Telemetry query group-by dimensions (TelemetryStore.Query, GET /query).
-const (
-	GroupTotal    = telemetry.GroupTotal
-	GroupProvider = telemetry.GroupProvider
-	GroupPlatform = telemetry.GroupPlatform
-	GroupModel    = telemetry.GroupModel
-)
-
-// Flow decision verdicts.
-const (
-	VerdictPending      = pipeline.VerdictPending
-	VerdictClassified   = pipeline.VerdictClassified
-	VerdictAbstained    = pipeline.VerdictAbstained
-	VerdictBaselineOnly = pipeline.VerdictBaselineOnly
-	VerdictNoHandshake  = pipeline.VerdictNoHandshake
-	VerdictOversized    = pipeline.VerdictOversized
-	VerdictNotVideo     = pipeline.VerdictNotVideo
-	VerdictError        = pipeline.VerdictError
-)
-
-// Ops journal event types (the GET /events vocabulary).
-const (
-	EventModelPromote     = obs.EventModelPromote
-	EventModelRollback    = obs.EventModelRollback
-	EventModelSwap        = obs.EventModelSwap
-	EventDriftTrigger     = obs.EventDriftTrigger
-	EventDriftRearm       = obs.EventDriftRearm
-	EventShadowStart      = obs.EventShadowStart
-	EventShadowVerdict    = obs.EventShadowVerdict
-	EventRetrainError     = obs.EventRetrainError
-	EventEvictionPressure = obs.EventEvictionPressure
-	EventSinkError        = obs.EventSinkError
-	EventStoreCompaction  = obs.EventStoreCompaction
-)
+// GroupTotal is the ungrouped telemetry query dimension (TelemetryStore.Query,
+// GET /query).
+const GroupTotal = telemetry.GroupTotal
 
 // Platforms lists the 17 user-platform labels of Table 1
 // (e.g. "windows_chrome", "iOS_nativeApp", "ps5_nativeApp").
@@ -342,30 +210,6 @@ func NewPipeline(bank *Bank) *Pipeline { return pipeline.New(bank) }
 // the given number of days.
 func NewAggregator(days float64) *Aggregator { return &Aggregator{Days: days} }
 
-// NewBoundedPipeline returns a streaming packet processor whose flow table
-// is bounded by cfg (max flows, idle timeout, eviction callback) — the
-// configuration for long-running deployments where flow state must not grow
-// with traffic.
-func NewBoundedPipeline(bank *Bank, cfg PipelineConfig) *Pipeline {
-	return pipeline.NewWithConfig(bank, cfg)
-}
-
-// NewShardedPipeline starts n shard workers over a trained bank, each with
-// its own cfg-bounded flow table. Feed frames from one ingest goroutine
-// with HandlePacket or, for high rates, HandlePacketBatch — each frame is
-// parsed exactly once at ingest, buffers are pooled, and a batch costs at
-// most one channel send per shard. Classified flows arrive on Results()
-// (best-effort; see the Sharded type docs), and Close drains the workers.
-func NewShardedPipeline(bank *Bank, n int, cfg PipelineConfig) *ShardedPipeline {
-	return pipeline.NewShardedWithConfig(bank, n, cfg)
-}
-
-// NewRollup returns a windowed rollup engine retiring sealed windows of the
-// given width to sink (nil discards).
-func NewRollup(width time.Duration, sink RollupSink) *Rollup {
-	return telemetry.NewRollup(width, sink)
-}
-
 // NewJSONLSink returns a rollup sink writing one JSON object per sealed
 // window to w.
 func NewJSONLSink(w io.Writer) RollupSink { return telemetry.NewJSONLSink(w) }
@@ -373,16 +217,11 @@ func NewJSONLSink(w io.Writer) RollupSink { return telemetry.NewJSONLSink(w) }
 // NewTelemetryStore returns a queryable window store: a bounded in-memory
 // ring of sealed rollup windows with count/age retention, multi-resolution
 // downsampling tiers and optional JSONL persistence. It implements
-// RollupSink, so it sits directly behind a Rollup — or behind the Server,
-// which serves it over GET /windows and GET /query (pass it via
-// ServeConfig.Store to tune retention; the Server builds a default one
-// otherwise). Query re-aggregates retained windows into per-step series
+// RollupSink; the Server serves it over GET /windows and GET /query (pass
+// it via ServeConfig.Store to tune retention; the Server builds a default
+// one otherwise). Query re-aggregates retained windows into per-step series
 // grouped by provider, platform or model version.
 func NewTelemetryStore(cfg TelemetryStoreConfig) *TelemetryStore { return telemetry.NewStore(cfg) }
-
-// MultiSink fans sealed windows out to several sinks, e.g. a queryable
-// TelemetryStore plus a JSONL archive.
-func MultiSink(sinks ...RollupSink) RollupSink { return telemetry.MultiSink(sinks...) }
 
 // NewServer assembles the streaming ingest daemon: src replayed through a
 // sharded, flow-table-bounded pipeline, with windowed rollups and the
@@ -423,30 +262,3 @@ func NewDriftMonitor(cfg DriftConfig) *DriftMonitor { return drift.NewMonitor(cf
 func NewRetrainer(reg *Registry, cfg RetrainerConfig) (*Retrainer, error) {
 	return registry.NewRetrainer(reg, cfg)
 }
-
-// NewPipelineObserver returns a per-stage latency collector. Recording is
-// wait-free and allocation-free; attach it to any pipeline via
-// PipelineConfig.Observer (the Server wires one automatically and serves
-// its digests in /stats and /metrics).
-func NewPipelineObserver() *PipelineObserver { return obs.NewPipelineObserver() }
-
-// NewFlowTracer returns a deterministic 1-in-N flow-lifecycle sampler.
-// Attach it via PipelineConfig.Tracer; read spans with Snapshot (the Server
-// serves its tracer over GET /trace).
-func NewFlowTracer(cfg FlowTracerConfig) *FlowTracer { return obs.NewTracer(cfg) }
-
-// ReadRuntimeStats snapshots the Go runtime's health gauges.
-func ReadRuntimeStats() RuntimeStats { return obs.ReadRuntimeStats() }
-
-// NewOpsJournal returns a bounded ops event journal (capacity <= 0 selects
-// the default). A non-nil logger mirrors every event as a structured slog
-// line. Wire it to a daemon via ServeConfig.Journal and, for the retrain
-// lifecycle, RetrainerConfig.Events; the Server serves it over GET /events.
-func NewOpsJournal(capacity int, logger *slog.Logger) *OpsJournal {
-	return obs.NewJournal(capacity, logger)
-}
-
-// ReadBuildInfo reports the running binary's build identification (module,
-// Go version, VCS revision) — what vpserve -version prints and /stats and
-// videoplat_build_info expose.
-func ReadBuildInfo() BuildInfo { return obs.ReadBuildInfo() }
