@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"regexp"
 	"strings"
@@ -13,8 +14,9 @@ import (
 
 // These tests pin docs/OPERATIONS.md to the code it documents: the
 // registered vpserve flag set, the operations API route table and the
-// /metrics catalog. Adding a flag, endpoint or metric without documenting
-// it — or documenting one that no longer exists — fails CI.
+// /metrics registry. Adding a flag, endpoint or metric without documenting
+// it — or documenting one that no longer exists — fails CI, and the
+// metrics table must equal the one rendered from the registry.
 
 func operationsDoc(t *testing.T) string {
 	t.Helper()
@@ -91,23 +93,44 @@ func TestOperationsDocCoversVerdicts(t *testing.T) {
 	}
 }
 
+// metricsTable renders the runbook's metrics table from the registry.
+func metricsTable() string {
+	var b strings.Builder
+	b.WriteString("| Series | Type | `/stats` field | Meaning |\n| --- | --- | --- | --- |\n")
+	for _, m := range server.Metrics() {
+		fmt.Fprintf(&b, "| `%s` | %s | `%s` | %s |\n", m.Name, m.Kind, m.Path, m.Help)
+	}
+	return b.String()
+}
+
 func TestOperationsDocCoversMetrics(t *testing.T) {
 	doc := operationsDoc(t)
-	names := server.MetricNames()
-	if len(names) == 0 {
-		t.Fatal("no metrics in catalog")
+	start := strings.Index(doc, "## Prometheus metrics")
+	if start < 0 {
+		t.Fatal("docs/OPERATIONS.md has no \"## Prometheus metrics\" section")
 	}
-	catalog := map[string]bool{}
-	for _, name := range names {
-		catalog[name] = true
-		if !regexp.MustCompile("`" + regexp.QuoteMeta(name) + "`").MatchString(doc) {
-			t.Errorf("metric %s is not documented in docs/OPERATIONS.md (add a `%s` table row)", name, name)
+	section := doc[start:]
+	if end := strings.Index(section[2:], "\n## "); end >= 0 {
+		section = section[:end+2]
+	}
+	var table strings.Builder
+	for _, line := range strings.SplitAfter(section, "\n") {
+		if strings.HasPrefix(line, "|") {
+			table.WriteString(line)
 		}
 	}
-	// Reverse: every series the runbook names must still be emitted.
+	if want := metricsTable(); table.String() != want {
+		t.Errorf("the Prometheus metrics table in docs/OPERATIONS.md differs from the registry in internal/server/metrics.go; it must read exactly:\n\n%s", want)
+	}
+
+	// Reverse: every series the rest of the runbook names must be emitted.
+	registered := map[string]bool{}
+	for _, m := range server.Metrics() {
+		registered[m.Name] = true
+	}
 	for _, m := range regexp.MustCompile(`videoplat_[a-z_]+`).FindAllString(doc, -1) {
-		if !catalog[m] {
-			t.Errorf("docs/OPERATIONS.md documents %s, which is not in the /metrics catalog", m)
+		if !registered[m] {
+			t.Errorf("docs/OPERATIONS.md documents %s, which is not in the /metrics registry", m)
 		}
 	}
 }

@@ -3,326 +3,305 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 
 	"videoplat/internal/obs"
 	"videoplat/internal/pipeline"
+	"videoplat/internal/telemetry"
 )
 
-// metricDef is one /metrics series: its Prometheus metadata plus a sampler
-// producing the sample lines (with labels where applicable) for a stats
-// snapshot. handleMetrics emits straight from this catalog and MetricNames
-// exposes it, so a series cannot be added to the endpoint without the
-// documentation drift test (docs/OPERATIONS.md) seeing it.
-type metricDef struct {
-	name, typ, help string
-	// conditional marks series omitted in some configurations (e.g.
-	// retrainer counters without -auto-retrain): the samplers return no
-	// lines and the series disappears from the exposition entirely.
-	conditional bool
-	samples     func(st *Stats) []string
+// Metric is one /metrics series: its Prometheus name, kind and help text,
+// and the /stats JSON path whose value it exposes. The registry below is
+// the only place a series is declared: the renderer writes every name,
+// HELP and TYPE line from it, and the runbook's metrics table
+// (docs/OPERATIONS.md) must equal the table rendered from it.
+type Metric struct {
+	Name, Kind, Help string
+	// Path is the dotted /stats JSON path the series mirrors. A trailing
+	// "{label}" placeholder makes a labeled family with one sample per
+	// label value substituted into it: the row's fixed vocabulary when it
+	// has one (a missing map key reads as 0, so every value keeps its
+	// sample), else every index of the array the placeholder indexes. A
+	// nil pointer on the path means the series is absent from the snapshot.
+	Path string
+
+	labels []string
+	// sample, when set, turns the value at Path into (labels, value) pairs
+	// for a family that is not one /stats leaf per sample.
+	sample func(any) []sample
 }
 
-// gauge1 renders the common single-sample case.
-func gauge1(name string, v float64) []string {
-	return []string{fmt.Sprintf("%s %g", name, v)}
+// sample is one exposition line: label name/value pairs and the value.
+type sample struct {
+	labels []string
+	value  float64
 }
 
-var metricsCatalog = []metricDef{
-	{"videoplat_replay_packets_total", "counter", "Frames fed to the pipeline.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_replay_packets_total", float64(st.Replay.Packets))
-		}},
-	{"videoplat_replay_bytes_total", "counter", "Frame bytes fed to the pipeline.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_replay_bytes_total", float64(st.Replay.Bytes))
-		}},
-	{"videoplat_flows_active", "gauge", "Flows currently tracked across shards.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_flows_active", float64(st.FlowTable.Active))
-		}},
-	{"videoplat_flows_inserted_total", "counter", "Flows ever inserted into the tables.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_flows_inserted_total", float64(st.FlowTable.Inserted))
-		}},
-	{"videoplat_flows_evicted_total", "counter", "Flows evicted from the tables.", false,
-		func(st *Stats) []string {
-			return []string{
-				fmt.Sprintf("videoplat_flows_evicted_total{reason=\"idle\"} %d", st.FlowTable.EvictedIdle),
-				fmt.Sprintf("videoplat_flows_evicted_total{reason=\"cap\"} %d", st.FlowTable.EvictedCap),
-			}
-		}},
-	{"videoplat_flows_rekeyed_total", "counter", "Flows re-keyed in place by QUIC connection migration.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_flows_rekeyed_total", float64(st.FlowTable.Rekeyed))
-		}},
-	{"videoplat_flow_migrations_total", "counter", "QUIC connection migrations absorbed by CID re-keying.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_flow_migrations_total", float64(st.Ingest.Migrations))
-		}},
-	{"videoplat_flows_early_classified_total", "counter", "Flows classified from partial handshake evidence (ECH or 0-RTT).", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_flows_early_classified_total", float64(st.Ingest.EarlyClassified))
-		}},
-	{"videoplat_flows_classified_total", "counter", "Flows classified with a platform prediction.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_flows_classified_total", float64(st.ClassifiedFlows))
-		}},
-	{"videoplat_flows_unknown_total", "counter", "Flows rejected by the confidence selector.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_flows_unknown_total", float64(st.UnknownFlows))
-		}},
-	{"videoplat_flows_finalized_total", "counter", "Flow records rolled up (evicted or drained).", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_flows_finalized_total", float64(st.FinalizedFlows))
-		}},
-	{"videoplat_flow_verdicts_total", "counter", "Finalized flows by terminal verdict (verdict label: classified, abstained, no-handshake, …).", false,
-		func(st *Stats) []string {
-			names := pipeline.VerdictNames()
-			out := make([]string, 0, len(names))
-			for _, name := range names {
-				out = append(out, fmt.Sprintf("videoplat_flow_verdicts_total{verdict=%q} %d",
-					name, st.FlowVerdicts[name]))
-			}
-			return out
-		}},
-	{"videoplat_events_total", "counter", "Ops journal events recorded by type.", false,
-		func(st *Stats) []string {
-			types := obs.EventTypes()
-			out := make([]string, 0, len(types))
-			for _, t := range types {
-				out = append(out, fmt.Sprintf("videoplat_events_total{type=%q} %d",
-					t, st.Events.ByType[string(t)]))
-			}
-			return out
-		}},
-	{"videoplat_events_dropped_total", "counter", "Ops journal events aged out of the bounded ring.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_events_dropped_total", float64(st.Events.Dropped))
-		}},
-	{"videoplat_results_dropped_total", "counter", "Results dropped because the consumer lagged.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_results_dropped_total", float64(st.DroppedResults))
-		}},
-	{"videoplat_ingest_batches_total", "counter", "Frame batches dispatched to the pipeline.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_ingest_batches_total", float64(st.Ingest.Batches))
-		}},
-	{"videoplat_ingest_frames_ignored_total", "counter", "Frames dropped at ingest (unparseable or non-TCP/UDP).", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_ingest_frames_ignored_total", float64(st.Ingest.IgnoredFrames))
-		}},
-	{"videoplat_ingest_frames_filtered_total", "counter", "Decodable flows dropped at ingest by the port-443 video filter.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_ingest_frames_filtered_total", float64(st.Ingest.FilteredFrames))
-		}},
-	{"videoplat_ingest_stalls_total", "counter", "Ingest submissions that blocked on a full shard inbox.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_ingest_stalls_total", float64(st.Ingest.Stalls))
-		}},
-	{"videoplat_ingest_oversized_handshakes_total", "counter", "Flows abandoned because buffered handshake bytes exceeded the cap.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_ingest_oversized_handshakes_total", float64(st.Ingest.OversizedHandshakes))
-		}},
-	{"videoplat_rollup_windows_sealed_total", "counter", "Rollup windows sealed and retired to the sink.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_rollup_windows_sealed_total", float64(st.Rollup.Sealed))
-		}},
-	{"videoplat_telemetry_sink_errors_total", "counter", "Rollup sink writes that failed (every failure, not just the first).", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_telemetry_sink_errors_total", float64(st.Rollup.SinkErrors))
-		}},
-	{"videoplat_telemetry_store_windows", "gauge", "Sealed windows retained per store tier (tier label: raw or the bucket width in seconds).", false,
-		func(st *Stats) []string {
-			out := make([]string, 0, len(st.Rollup.Store.Tiers))
-			for i, t := range st.Rollup.Store.Tiers {
-				label := "raw"
-				if i > 0 {
-					label = strconv.FormatFloat(t.WidthSeconds, 'g', -1, 64)
-				}
-				out = append(out, fmt.Sprintf("videoplat_telemetry_store_windows{tier=%q} %d", label, t.Windows))
-			}
-			return out
-		}},
-	{"videoplat_telemetry_store_evicted_total", "counter", "Windows evicted from the store by retention.", false,
-		func(st *Stats) []string {
-			return []string{
-				fmt.Sprintf("videoplat_telemetry_store_evicted_total{reason=\"count\"} %d", st.Rollup.Store.EvictedCount),
-				fmt.Sprintf("videoplat_telemetry_store_evicted_total{reason=\"age\"} %d", st.Rollup.Store.EvictedAge),
-			}
-		}},
-	{"videoplat_telemetry_store_compactions_total", "counter", "Downsampled store buckets sealed.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_telemetry_store_compactions_total", float64(st.Rollup.Store.Compactions))
-		}},
-	{"videoplat_telemetry_store_loaded_windows", "gauge", "Windows reloaded from persistence at startup.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_telemetry_store_loaded_windows", float64(st.Rollup.Store.LoadedWindows))
-		}},
-	{"videoplat_telemetry_store_persist_errors_total", "counter", "Failed writes to the store's persistence sink.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_telemetry_store_persist_errors_total", float64(st.Rollup.Store.PersistErrors))
-		}},
-	{"videoplat_model_active_info", "gauge", "Active model bank version (value is always 1).", false,
-		func(st *Stats) []string {
-			return []string{fmt.Sprintf("videoplat_model_active_info{version=%q} 1", st.Models.ActiveVersion)}
-		}},
-	{"videoplat_model_swaps_total", "counter", "Bank hot-swaps applied to the pipeline.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_model_swaps_total", float64(st.Models.Swaps))
-		}},
-	{"videoplat_model_retrains_total", "counter", "Candidate banks trained by the retrainer.", true,
-		func(st *Stats) []string {
-			if st.Models.Retrainer == nil {
-				return nil
-			}
-			return gauge1("videoplat_model_retrains_total", float64(st.Models.Retrainer.Retrains))
-		}},
-	{"videoplat_model_promotions_total", "counter", "Candidates promoted after shadow evaluation.", true,
-		func(st *Stats) []string {
-			if st.Models.Retrainer == nil {
-				return nil
-			}
-			return gauge1("videoplat_model_promotions_total", float64(st.Models.Retrainer.Promotions))
-		}},
-	{"videoplat_model_rejections_total", "counter", "Candidates rejected by the shadow gate.", true,
-		func(st *Stats) []string {
-			if st.Models.Retrainer == nil {
-				return nil
-			}
-			return gauge1("videoplat_model_rejections_total", float64(st.Models.Retrainer.Rejections))
-		}},
-	{"videoplat_replay_done", "gauge", "1 once the replay source is exhausted.", false,
-		func(st *Stats) []string {
-			done := 0.0
-			if st.Replay.Done {
-				done = 1
-			}
-			return gauge1("videoplat_replay_done", done)
-		}},
-	{"videoplat_stage_latency_seconds", "gauge", "Per-stage pipeline latency quantiles since start (stage and quantile labels; quantile is 0.5, 0.9 or 0.99).", false,
-		func(st *Stats) []string {
-			var out []string
-			for _, ls := range st.Latency {
-				if ls.Count == 0 {
-					continue
-				}
-				for _, q := range []struct {
-					label string
-					ms    float64
-				}{{"0.5", ls.P50Ms}, {"0.9", ls.P90Ms}, {"0.99", ls.P99Ms}} {
-					out = append(out, fmt.Sprintf("videoplat_stage_latency_seconds{stage=%q,quantile=%q} %g",
-						ls.Stage, q.label, q.ms/1e3))
-				}
-			}
-			return out
-		}},
-	{"videoplat_stage_latency_max_seconds", "gauge", "Per-stage maximum observed latency since start.", false,
-		func(st *Stats) []string {
-			var out []string
-			for _, ls := range st.Latency {
-				if ls.Count == 0 {
-					continue
-				}
-				out = append(out, fmt.Sprintf("videoplat_stage_latency_max_seconds{stage=%q} %g",
-					ls.Stage, ls.MaxMs/1e3))
-			}
-			return out
-		}},
-	{"videoplat_stage_latency_samples_total", "counter", "Latency samples recorded per pipeline stage.", false,
-		func(st *Stats) []string {
-			out := make([]string, 0, len(st.Latency))
-			for _, ls := range st.Latency {
-				out = append(out, fmt.Sprintf("videoplat_stage_latency_samples_total{stage=%q} %d",
-					ls.Stage, ls.Count))
-			}
-			return out
-		}},
-	{"videoplat_shard_queue_depth", "gauge", "Live per-shard ingest inbox occupancy in batch messages.", false,
-		func(st *Stats) []string {
-			out := make([]string, 0, len(st.Ingest.QueueDepths))
-			for i, d := range st.Ingest.QueueDepths {
-				out = append(out, fmt.Sprintf("videoplat_shard_queue_depth{shard=\"%d\"} %d", i, d))
-			}
-			return out
-		}},
-	{"videoplat_shard_queue_capacity", "gauge", "Per-shard ingest inbox capacity in batch messages.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_shard_queue_capacity", float64(st.Ingest.QueueCapacity))
-		}},
-	{"videoplat_results_buffered", "gauge", "Classified results waiting in the results channel.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_results_buffered", float64(st.Ingest.ResultsBuffered))
-		}},
-	{"videoplat_results_capacity", "gauge", "Results channel capacity.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_results_capacity", float64(st.Ingest.ResultsCapacity))
-		}},
-	{"videoplat_trace_spans_total", "counter", "Flow-lifecycle sampler activity (event label: offered, admitted or finished).", false,
-		func(st *Stats) []string {
-			return []string{
-				fmt.Sprintf("videoplat_trace_spans_total{event=\"offered\"} %d", st.Trace.Offered),
-				fmt.Sprintf("videoplat_trace_spans_total{event=\"admitted\"} %d", st.Trace.Admitted),
-				fmt.Sprintf("videoplat_trace_spans_total{event=\"finished\"} %d", st.Trace.Finished),
-			}
-		}},
-	{"videoplat_goroutines", "gauge", "Live goroutine count.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_goroutines", float64(st.Runtime.Goroutines))
-		}},
-	{"videoplat_heap_alloc_bytes", "gauge", "Live heap bytes in use.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_heap_alloc_bytes", float64(st.Runtime.HeapAllocBytes))
-		}},
-	{"videoplat_heap_objects", "gauge", "Live heap object count.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_heap_objects", float64(st.Runtime.HeapObjects))
-		}},
-	{"videoplat_gc_cycles_total", "counter", "Completed garbage-collection cycles.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_gc_cycles_total", float64(st.Runtime.NumGC))
-		}},
-	{"videoplat_gc_pause_seconds_total", "counter", "Cumulative stop-the-world GC pause time.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_gc_pause_seconds_total", st.Runtime.PauseTotalMs/1e3)
-		}},
-	{"videoplat_uptime_seconds", "gauge", "Seconds since the daemon started.", false,
-		func(st *Stats) []string {
-			return gauge1("videoplat_uptime_seconds", st.UptimeSeconds)
-		}},
-	{"videoplat_build_info", "gauge", "Build identification (go_version, version, revision labels; value is always 1).", false,
-		func(st *Stats) []string {
-			return []string{fmt.Sprintf("videoplat_build_info{go_version=%q,version=%q,revision=%q} 1",
-				st.Build.GoVersion, st.Build.Version, st.Build.VCSRevision)}
-		}},
+const (
+	counter = "counter"
+	gauge   = "gauge"
+)
+
+var metricRegistry = []Metric{
+	{Name: "videoplat_replay_packets_total", Kind: counter, Path: "replay.packets", Help: "Frames fed to the pipeline"},
+	{Name: "videoplat_replay_bytes_total", Kind: counter, Path: "replay.bytes", Help: "Frame bytes fed to the pipeline"},
+	{Name: "videoplat_flows_active", Kind: gauge, Path: "flow_table.active", Help: "Flows currently tracked across shards"},
+	{Name: "videoplat_flows_inserted_total", Kind: counter, Path: "flow_table.inserted", Help: "Flows ever inserted into the tables"},
+	{Name: "videoplat_flows_evicted_total", Kind: counter, Path: "flow_table.evicted_{reason}", labels: []string{"idle", "cap"}, Help: "Flows evicted from the tables, by `reason` (`idle` or `cap`)"},
+	{Name: "videoplat_flows_rekeyed_total", Kind: counter, Path: "flow_table.rekeyed", Help: "Flow-table entries moved to a new 5-tuple in place (LRU position and idle clock preserved) by connection migration"},
+	{Name: "videoplat_flow_migrations_total", Kind: counter, Path: "ingest.migrations", Help: "QUIC connection migrations absorbed by CID re-keying — each is a live flow whose 5-tuple changed without losing handshake state"},
+	{Name: "videoplat_flows_early_classified_total", Kind: counter, Path: "ingest.early_classified", Help: "Flows classified from partial handshake evidence (ECH or 0-RTT) via the provider hint and the `-early-min-margin` gate"},
+	{Name: "videoplat_flows_classified_total", Kind: counter, Path: "classified_flows", Help: "Flows classified with a platform prediction"},
+	{Name: "videoplat_flows_unknown_total", Kind: counter, Path: "unknown_flows", Help: "Flows rejected by the confidence selector"},
+	{Name: "videoplat_flows_finalized_total", Kind: counter, Path: "finalized_flows", Help: "Flow records rolled up (evicted or drained)"},
+	{Name: "videoplat_flow_verdicts_total", Kind: counter, Path: "flow_verdicts.{verdict}", labels: verdictLabels(), Help: "Finalized flows by decision outcome (`verdict` label: `classified`, `abstained`, `no-handshake`, …; see § Flow verdicts)"},
+	{Name: "videoplat_events_total", Kind: counter, Path: "events.by_type.{type}", labels: eventLabels(), Help: "Ops journal events recorded, by `type` (see `GET /events` for the vocabulary)"},
+	{Name: "videoplat_events_dropped_total", Kind: counter, Path: "events.dropped", Help: "Journal events aged out of the bounded ring (the per-type event counters stay monotonic)"},
+	{Name: "videoplat_results_dropped_total", Kind: counter, Path: "dropped_results", Help: "Results dropped because the consumer lagged (best-effort channel)"},
+	{Name: "videoplat_ingest_batches_total", Kind: counter, Path: "ingest.batches", Help: "Frame batches dispatched to the pipeline"},
+	{Name: "videoplat_ingest_frames_ignored_total", Kind: counter, Path: "ingest.ignored_frames", Help: "Frames dropped at ingest (unparseable or non-TCP/UDP)"},
+	{Name: "videoplat_ingest_frames_filtered_total", Kind: counter, Path: "ingest.filtered_frames", Help: "Decodable flows dropped at ingest by the port-443 video filter"},
+	{Name: "videoplat_ingest_stalls_total", Kind: counter, Path: "ingest.stalls", Help: "Ingest submissions that blocked on a full shard inbox (backpressure, not loss)"},
+	{Name: "videoplat_ingest_oversized_handshakes_total", Kind: counter, Path: "ingest.oversized_handshakes", Help: "Flows abandoned because buffered handshake bytes exceeded `-max-hello-bytes`"},
+	{Name: "videoplat_rollup_windows_sealed_total", Kind: counter, Path: "rollup.sealed_windows", Help: "Rollup windows sealed and retired to the sink"},
+	{Name: "videoplat_telemetry_sink_errors_total", Kind: counter, Path: "rollup.sink_errors", Help: "Rollup sink writes that failed — every failure, not just the first (`/stats` keeps the first error string)"},
+	{Name: "videoplat_telemetry_store_windows", Kind: gauge, Path: "rollup.store.tiers", sample: sampler(storeTierSamples), Help: "Sealed windows retained per store tier (`tier` label: `raw` or the bucket width in seconds)"},
+	{Name: "videoplat_telemetry_store_evicted_total", Kind: counter, Path: "rollup.store.evicted_{reason}", labels: []string{"count", "age"}, Help: "Windows evicted from the store by retention, by `reason` (`count` or `age`)"},
+	{Name: "videoplat_telemetry_store_compactions_total", Kind: counter, Path: "rollup.store.compactions", Help: "Downsampled store buckets sealed"},
+	{Name: "videoplat_telemetry_store_loaded_windows", Kind: gauge, Path: "rollup.store.loaded_windows", Help: "Windows reloaded from `-telemetry-persist` at startup"},
+	{Name: "videoplat_telemetry_store_persist_errors_total", Kind: counter, Path: "rollup.store.persist_errors", Help: "Failed writes to the store's persistence sink"},
+	{Name: "videoplat_model_active_info", Kind: gauge, Path: "models.active_version", sample: sampler(activeVersionSamples), Help: "Active model bank version as the `version` label (value is always 1)"},
+	{Name: "videoplat_model_swaps_total", Kind: counter, Path: "models.swaps", Help: "Bank hot-swaps applied to the pipeline"},
+	{Name: "videoplat_model_retrains_total", Kind: counter, Path: "models.retrainer.retrains", Help: "Candidate banks trained by the retrainer (with `-auto-retrain`)"},
+	{Name: "videoplat_model_promotions_total", Kind: counter, Path: "models.retrainer.promotions", Help: "Candidates promoted after shadow evaluation (with `-auto-retrain`)"},
+	{Name: "videoplat_model_rejections_total", Kind: counter, Path: "models.retrainer.rejections", Help: "Candidates rejected by the shadow gate (with `-auto-retrain`)"},
+	{Name: "videoplat_replay_done", Kind: gauge, Path: "replay.done", Help: "1 once the replay source is exhausted"},
+	{Name: "videoplat_stage_latency_seconds", Kind: gauge, Path: "latency", sample: sampler(latencyQuantileSamples), Help: "Per-stage pipeline latency quantiles since start (`stage` and `quantile` labels; quantile `0.5`, `0.9` or `0.99`)"},
+	{Name: "videoplat_stage_latency_max_seconds", Kind: gauge, Path: "latency", sample: sampler(latencyMaxSamples), Help: "Per-stage maximum observed latency since start"},
+	{Name: "videoplat_stage_latency_samples_total", Kind: counter, Path: "latency", sample: sampler(latencyCountSamples), Help: "Latency samples recorded per pipeline `stage`"},
+	{Name: "videoplat_shard_queue_depth", Kind: gauge, Path: "ingest.queue_depths.{shard}", Help: "Live per-`shard` ingest inbox occupancy in batch messages"},
+	{Name: "videoplat_shard_queue_capacity", Kind: gauge, Path: "ingest.queue_capacity", Help: "Per-shard ingest inbox capacity in batch messages"},
+	{Name: "videoplat_results_buffered", Kind: gauge, Path: "ingest.results_buffered", Help: "Classified results waiting in the results channel"},
+	{Name: "videoplat_results_capacity", Kind: gauge, Path: "ingest.results_capacity", Help: "Results channel capacity"},
+	{Name: "videoplat_trace_spans_total", Kind: counter, Path: "trace.{event}", labels: []string{"offered", "admitted", "finished"}, Help: "Flow-lifecycle sampler activity, by `event` (`offered`, `admitted`, `finished`)"},
+	{Name: "videoplat_goroutines", Kind: gauge, Path: "runtime.goroutines", Help: "Live goroutine count"},
+	{Name: "videoplat_heap_alloc_bytes", Kind: gauge, Path: "runtime.heap_alloc_bytes", Help: "Live heap bytes in use"},
+	{Name: "videoplat_heap_objects", Kind: gauge, Path: "runtime.heap_objects", Help: "Live heap object count"},
+	{Name: "videoplat_gc_cycles_total", Kind: counter, Path: "runtime.num_gc", Help: "Completed garbage-collection cycles"},
+	{Name: "videoplat_gc_pause_seconds_total", Kind: counter, Path: "runtime.gc_pause_total_ms", sample: sampler(secondsFromMs), Help: "Cumulative stop-the-world GC pause time"},
+	{Name: "videoplat_uptime_seconds", Kind: gauge, Path: "uptime_seconds", Help: "Seconds since the daemon started"},
+	{Name: "videoplat_build_info", Kind: gauge, Path: "build", sample: sampler(buildInfoSamples), Help: "Build identification (`go_version`, `version`, `revision` labels; value is always 1)"},
 }
 
-// MetricNames lists every videoplat_* series /metrics can emit, in
-// exposition order — the source of truth the operator runbook is checked
-// against. Series marked conditional in the catalog (the retrainer
-// counters) appear here even when the running configuration omits them.
-func MetricNames() []string {
-	out := make([]string, len(metricsCatalog))
-	for i, m := range metricsCatalog {
-		out[i] = m.name
+// Metrics lists every series /metrics can emit, in exposition order,
+// including those absent from the running configuration (the retrainer
+// counters without -auto-retrain).
+func Metrics() []Metric { return slices.Clone(metricRegistry) }
+
+func verdictLabels() []string {
+	names := pipeline.VerdictNames()
+	return names[:]
+}
+
+func eventLabels() []string {
+	var out []string
+	for _, t := range obs.EventTypes() {
+		out = append(out, string(t))
 	}
 	return out
+}
+
+// sampler adapts a sampler typed by the value at its row's Path.
+func sampler[T any](f func(T) []sample) func(any) []sample {
+	return func(v any) []sample { return f(v.(T)) }
+}
+
+func storeTierSamples(tiers []telemetry.TierStats) []sample {
+	out := make([]sample, len(tiers))
+	for i, t := range tiers {
+		label := "raw"
+		if i > 0 {
+			label = strconv.FormatFloat(t.WidthSeconds, 'g', -1, 64)
+		}
+		out[i] = sample{[]string{"tier", label}, float64(t.Windows)}
+	}
+	return out
+}
+
+func activeVersionSamples(version string) []sample {
+	return []sample{{[]string{"version", version}, 1}}
+}
+
+func buildInfoSamples(b obs.BuildInfo) []sample {
+	return []sample{{[]string{"go_version", b.GoVersion, "version", b.Version, "revision", b.VCSRevision}, 1}}
+}
+
+func secondsFromMs(ms float64) []sample { return []sample{{value: ms / 1e3}} }
+
+// latencyQuantileSamples and latencyMaxSamples skip stages that have not
+// recorded a sample yet; latencyCountSamples reports every stage.
+func latencyQuantileSamples(stages []obs.StageStats) []sample {
+	var out []sample
+	for _, ls := range stages {
+		if ls.Count > 0 {
+			out = append(out,
+				sample{[]string{"stage", ls.Stage, "quantile", "0.5"}, ls.P50Ms / 1e3},
+				sample{[]string{"stage", ls.Stage, "quantile", "0.9"}, ls.P90Ms / 1e3},
+				sample{[]string{"stage", ls.Stage, "quantile", "0.99"}, ls.P99Ms / 1e3})
+		}
+	}
+	return out
+}
+
+func latencyMaxSamples(stages []obs.StageStats) []sample {
+	var out []sample
+	for _, ls := range stages {
+		if ls.Count > 0 {
+			out = append(out, sample{[]string{"stage", ls.Stage}, ls.MaxMs / 1e3})
+		}
+	}
+	return out
+}
+
+func latencyCountSamples(stages []obs.StageStats) []sample {
+	out := make([]sample, len(stages))
+	for i, ls := range stages {
+		out[i] = sample{[]string{"stage", ls.Stage}, float64(ls.Count)}
+	}
+	return out
+}
+
+// samples reads the row's samples from the /stats value root.
+func (m *Metric) samples(root reflect.Value) []sample {
+	at, label, labeled := strings.Cut(m.Path, "{")
+	if !labeled {
+		v, ok := lookup(root, m.Path)
+		switch {
+		case !ok:
+			return nil
+		case m.sample != nil:
+			return m.sample(v.Interface())
+		}
+		return []sample{{value: number(v)}}
+	}
+	label = strings.TrimSuffix(label, "}")
+	values := m.labels
+	if values == nil {
+		arr, ok := lookup(root, strings.TrimSuffix(at, "."))
+		if !ok {
+			return nil
+		}
+		for i := range arr.Len() {
+			values = append(values, strconv.Itoa(i))
+		}
+	}
+	out := make([]sample, 0, len(values))
+	for _, val := range values {
+		v, ok := lookup(root, at+val)
+		if !ok {
+			return nil
+		}
+		out = append(out, sample{[]string{label, val}, number(v)})
+	}
+	return out
+}
+
+// lookup resolves a dotted /stats JSON path in v: struct fields by their
+// json names, map entries by key (a missing key reads as zero) and slice
+// elements by index. It reports false when a nil pointer lies on the path.
+func lookup(v reflect.Value, path string) (reflect.Value, bool) {
+	for _, seg := range strings.Split(path, ".") {
+		if v.Kind() == reflect.Pointer {
+			if v.IsNil() {
+				return v, false
+			}
+			v = v.Elem()
+		}
+		switch v.Kind() {
+		case reflect.Struct:
+			v = jsonField(v, seg)
+		case reflect.Map:
+			if e := v.MapIndex(reflect.ValueOf(seg)); e.IsValid() {
+				v = e
+			} else {
+				v = reflect.Zero(v.Type().Elem())
+			}
+		case reflect.Slice:
+			i, err := strconv.Atoi(seg)
+			if err != nil {
+				panic(fmt.Sprintf("metrics: %q indexes a /stats array with %q", path, seg))
+			}
+			v = v.Index(i)
+		default:
+			panic(fmt.Sprintf("metrics: %q descends into a /stats %s", path, v.Kind()))
+		}
+	}
+	return v, true
+}
+
+func jsonField(v reflect.Value, name string) reflect.Value {
+	t := v.Type()
+	for i := range t.NumField() {
+		if tag, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ","); tag == name {
+			return v.Field(i)
+		}
+	}
+	panic(fmt.Sprintf("metrics: /stats %s has no field %q", t, name))
+}
+
+func number(v reflect.Value) float64 {
+	switch {
+	case v.CanUint():
+		return float64(v.Uint())
+	case v.CanInt():
+		return float64(v.Int())
+	case v.CanFloat():
+		return v.Float()
+	case v.Kind() == reflect.Bool && v.Bool():
+		return 1
+	case v.Kind() == reflect.Bool:
+		return 0
+	}
+	panic(fmt.Sprintf("metrics: a /stats %s is not a number", v.Type()))
+}
+
+// appendMetrics renders st in the Prometheus text format. It is the only
+// code that writes a series name; families with no samples are omitted.
+func appendMetrics(b []byte, st *Stats) []byte {
+	root := reflect.ValueOf(st).Elem()
+	for i := range metricRegistry {
+		m := &metricRegistry[i]
+		samples := m.samples(root)
+		if len(samples) == 0 {
+			continue
+		}
+		b = fmt.Appendf(b, "# HELP %s %s\n# TYPE %s %s\n", m.Name, m.Help, m.Name, m.Kind)
+		for _, s := range samples {
+			b = append(b, m.Name...)
+			sep := byte('{')
+			for j := 0; j < len(s.labels); j += 2 {
+				b = append(b, sep)
+				sep = ','
+				b = append(b, s.labels[j]...)
+				b = append(b, '=')
+				b = strconv.AppendQuote(b, s.labels[j+1])
+			}
+			if len(s.labels) > 0 {
+				b = append(b, '}')
+			}
+			b = append(b, ' ')
+			b = strconv.AppendFloat(b, s.value, 'g', -1, 64)
+			b = append(b, '\n')
+		}
+	}
+	return b
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.Snapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var b []byte
-	for _, m := range metricsCatalog {
-		lines := m.samples(&st)
-		if len(lines) == 0 {
-			continue // conditional series absent in this configuration
-		}
-		b = append(b, fmt.Sprintf("# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ)...)
-		for _, l := range lines {
-			b = append(b, l...)
-			b = append(b, '\n')
-		}
-	}
-	w.Write(b)
+	w.Write(appendMetrics(nil, &st))
 }

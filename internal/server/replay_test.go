@@ -4,10 +4,12 @@ import (
 	"context"
 	"io"
 	"math/rand/v2"
+	"net/netip"
 	"sort"
 	"testing"
 	"time"
 
+	"videoplat/internal/packet"
 	"videoplat/internal/pcap"
 	"videoplat/internal/pipeline"
 )
@@ -110,5 +112,52 @@ func TestServerReportsIngestCounters(t *testing.T) {
 	}
 	if st.FlowTable.Inserted != 0 {
 		t.Errorf("flow table saw %d inserts from undecodable frames", st.FlowTable.Inserted)
+	}
+}
+
+// frameSource yields its frames once each, then EOF.
+type frameSource struct{ frames [][]byte }
+
+func (f *frameSource) Next() (pcap.Packet, error) {
+	if len(f.frames) == 0 {
+		return pcap.Packet{}, io.EOF
+	}
+	data := f.frames[0]
+	f.frames = f.frames[1:]
+	return pcap.Packet{Timestamp: time.Now(), Data: data, OrigLen: len(data)}, nil
+}
+
+// TestFlowsBracketsIPv6Endpoints checks that /flows renders an IPv6
+// endpoint as [addr]:port, which stays unambiguous where addr:port is not.
+func TestFlowsBracketsIPv6Endpoints(t *testing.T) {
+	src, dst := netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("2001:db8::2")
+	syn := &packet.TCP{SrcPort: 51515, DstPort: 443, Seq: 1, Flags: packet.FlagSYN, Window: 65535}
+	ip := &packet.IPv6{Protocol: packet.ProtoTCP, HopLimit: 64, Src: src, Dst: dst}
+	frame := (&packet.Ethernet{EtherType: packet.EtherTypeIPv6}).Append(nil, ip.Append(nil, syn.Append(nil, nil, src, dst)))
+
+	srv, err := New(&pipeline.Bank{}, &frameSource{frames: [][]byte{frame}}, Config{Addr: "127.0.0.1:0", Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- srv.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-runErr
+	}()
+	<-srv.ReplayDone()
+
+	var flows struct {
+		Flows []flowSummary `json:"flows"`
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(flows.Flows) == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the IPv6 flow never reached the flow table")
+		}
+		getJSON(t, "http://"+srv.Addr()+"/flows", &flows)
+	}
+	if got := flows.Flows[0]; got.Src != "[2001:db8::1]:51515" || got.Dst != "[2001:db8::2]:443" {
+		t.Errorf("/flows endpoints = %s -> %s, want [2001:db8::1]:51515 -> [2001:db8::2]:443", got.Src, got.Dst)
 	}
 }

@@ -896,8 +896,8 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		fs := flowSummary{
-			Src:        fmt.Sprintf("%s:%d", rec.Key.Src, rec.Key.SrcPort),
-			Dst:        fmt.Sprintf("%s:%d", rec.Key.Dst, rec.Key.DstPort),
+			Src:        netip.AddrPortFrom(rec.Key.Src, rec.Key.SrcPort).String(),
+			Dst:        netip.AddrPortFrom(rec.Key.Dst, rec.Key.DstPort).String(),
 			Transport:  rec.Transport.String(),
 			SNI:        rec.SNI,
 			Classified: rec.Classified,

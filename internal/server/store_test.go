@@ -255,10 +255,10 @@ func TestWindowsAndQueryEndpoints(t *testing.T) {
 	}
 }
 
-// TestMetricsMatchCatalog pins the /metrics exposition to the catalog that
-// MetricNames (and the runbook drift test) is built on: every emitted
-// series is in the catalog, and every unconditional catalog entry is
-// emitted.
+// TestMetricsMatchCatalog pins a live daemon's /metrics exposition to the
+// registry: every emitted series is a registry row, and every row is
+// emitted except the retrainer series, whose /stats path is absent
+// without a retrainer.
 func TestMetricsMatchCatalog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bank training is slow")
@@ -295,23 +295,18 @@ func TestMetricsMatchCatalog(t *testing.T) {
 			emitted[m[1]] = true
 		}
 	}
-	catalog := map[string]bool{}
-	for _, name := range MetricNames() {
-		catalog[name] = true
+	registered := map[string]bool{}
+	for _, m := range Metrics() {
+		registered[m.Name] = true
+		retrainer := strings.HasPrefix(m.Path, "models.retrainer.")
+		if emitted[m.Name] == retrainer {
+			t.Errorf("series %s emitted=%v without a retrainer", m.Name, emitted[m.Name])
+		}
 	}
 	for name := range emitted {
-		if !catalog[name] {
-			t.Errorf("emitted series %s not in catalog", name)
+		if !registered[name] {
+			t.Errorf("emitted series %s is not in the registry", name)
 		}
-	}
-	for _, m := range metricsCatalog {
-		if !m.conditional && !emitted[m.name] {
-			t.Errorf("catalog series %s not emitted", m.name)
-		}
-	}
-	// The conditional retrainer series must stay out without a retrainer.
-	if emitted["videoplat_model_retrains_total"] {
-		t.Error("retrainer series emitted without a retrainer")
 	}
 	for _, want := range []string{
 		`videoplat_telemetry_store_windows{tier="raw"}`,
